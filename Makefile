@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-sarif leak-race test race bench bench-check bench-budget bench-smoke diff-full diff-sampled serve-smoke sweep-smoke check
+.PHONY: build vet lint lint-sarif leak-race test race fuzz-smoke bench bench-check bench-budget bench-smoke diff-full diff-sampled serve-smoke sweep-smoke check
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,23 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Every native fuzzer, FUZZTIME (default 10s) each, beyond its seed corpus
+# (which plain `go test` already runs). `go test -fuzz` takes one target and
+# one package per invocation, hence the loop.
+FUZZTIME ?= 10s
+FUZZERS = \
+	./internal/benchmarks/leela:FuzzBoardMatchesFloodFill \
+	./internal/benchmarks/deepsjeng:FuzzLegalFilterMatchesFullCheck \
+	./internal/benchmarks/perlbench:FuzzExprDifferential \
+	./internal/benchmarks/perlbench:FuzzRegexCompiledDifferential \
+	./internal/benchmarks/xalan:FuzzMatchPatternDifferential
+
+fuzz-smoke:
+	@set -e; for f in $(FUZZERS); do \
+		echo "fuzz $${f#*:} ($${f%%:*}) for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$${f#*:}$$" -fuzztime $(FUZZTIME) "$${f%%:*}"; \
+	done
+
 # Regenerate the tracked benchmark baseline: event-path microbenchmarks
 # (optimized vs reference simulators) plus the full-suite wall-clock
 # comparison. Slow — it characterizes the whole suite twice.
@@ -44,9 +61,10 @@ bench:
 bench-check:
 	$(GO) run ./cmd/albertabench -check BENCH_profiler.json
 
-# Warn-only budget assertion for the bytecode-compiled interpreter cells:
-# re-times perlbench and gcc against the baseline's per_bench rows and
-# warns when either exceeds its recorded wall clock by the tolerance band.
+# Warn-only budget assertion for the bytecode-compiled interpreter cells and
+# the game engines: re-times perlbench, gcc, leela and deepsjeng against the
+# baseline's per_bench rows and warns when any exceeds its recorded wall
+# clock by the tolerance band.
 bench-budget:
 	$(GO) run ./cmd/albertabench -budget BENCH_profiler.json
 

@@ -371,7 +371,7 @@ func main() {
 	sampledOnly := flag.Bool("sampled", false, "measure only the exact-vs-sampled comparison rows (suite + per benchmark)")
 	check := flag.String("check", "", "re-run the microbenchmarks and compare against this baseline JSON (warn-only)")
 	budget := flag.String("budget", "", "re-time selected benchmarks and compare against this baseline's per_bench rows (warn-only)")
-	benches := flag.String("benches", "500.perlbench_r,502.gcc_r", "comma-separated benchmark names for -budget")
+	benches := flag.String("benches", "500.perlbench_r,502.gcc_r,541.leela_r,531.deepsjeng_r", "comma-separated benchmark names for -budget")
 	tol := flag.Float64("tol", 0.5, "relative tolerance band for -check/-budget (0.5 = ±50%)")
 	flag.Parse()
 
@@ -534,9 +534,10 @@ func runCheck(path string, tol float64) error {
 // runBudget re-times the named benchmarks' measurement workloads and
 // compares wall clock against the baseline's per_bench rows. Like -check
 // it is warn-only for timing — the interpreter-engine budgets (perlbench,
-// gcc after bytecode compilation) are asserted visibly without letting CI
-// runner noise fail the build — but a requested benchmark missing from the
-// baseline is structural drift and a real error.
+// gcc after bytecode compilation) and the compute-heavy game engines
+// (leela, deepsjeng) are asserted visibly without letting CI runner noise
+// fail the build — but a requested benchmark missing from the baseline is
+// structural drift and a real error.
 func runBudget(path string, tol float64, benches string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"repro/internal/perf"
 )
 
 // Piece codes. Positive = white, negative = black, 0 = empty.
@@ -32,13 +34,25 @@ const (
 )
 
 // Board is a chess position in mailbox form: squares indexed rank*8+file,
-// rank 0 = white's first rank.
+// rank 0 = white's first rank. Squares is read-only outside MakeMove and
+// UnmakeMove, which keep the cached king squares in step with it.
 type Board struct {
 	Squares [64]Piece
 	// WhiteToMove reports the side to move.
 	WhiteToMove bool
 	// hash is the incrementally maintained Zobrist key.
 	hash uint64
+	// kings holds each side's king square ([0] white, [1] black), or -1
+	// once search has captured that king.
+	kings [2]int8
+}
+
+// side indexes per-color arrays: 0 for white, 1 for black.
+func side(white bool) int {
+	if white {
+		return 0
+	}
+	return 1
 }
 
 // Move is a from/to square pair with promotion handled implicitly
@@ -94,6 +108,7 @@ func StartPosition() *Board {
 		b.Squares[48+f] = -Pawn
 		b.Squares[56+f] = -back[f]
 	}
+	b.kings = [2]int8{4, 60}
 	b.recomputeHash()
 	return b
 }
@@ -146,6 +161,18 @@ func ParseFEN(fen string) (*Board, error) {
 	default:
 		return nil, fmt.Errorf("%w: side %q", ErrBadFEN, fields[1])
 	}
+	for i, king := range [2]Piece{King, -King} {
+		n := 0
+		for sq, p := range b.Squares {
+			if p == king {
+				n++
+				b.kings[i] = int8(sq)
+			}
+		}
+		if n != 1 {
+			return nil, fmt.Errorf("%w: %s has %d kings, want 1", ErrBadFEN, [2]string{"white", "black"}[i], n)
+		}
+	}
 	b.recomputeHash()
 	return b, nil
 }
@@ -192,11 +219,12 @@ type undo struct {
 	captured Piece
 	moved    Piece // pre-promotion piece
 	hash     uint64
+	kings    [2]int8
 }
 
 // MakeMove applies m (assumed pseudo-legal) and returns the undo record.
 func (b *Board) MakeMove(m Move) undo {
-	u := undo{move: m, captured: b.Squares[m.To], moved: b.Squares[m.From], hash: b.hash}
+	u := undo{move: m, captured: b.Squares[m.To], moved: b.Squares[m.From], hash: b.hash, kings: b.kings}
 	p := b.Squares[m.From]
 	// Update hash: remove moving piece from origin, any capture from
 	// target, place (possibly promoted) piece.
@@ -214,6 +242,12 @@ func (b *Board) MakeMove(m Move) undo {
 	b.hash ^= zobristSide
 	b.Squares[m.To] = placed
 	b.Squares[m.From] = Empty
+	if u.captured == King || u.captured == -King {
+		b.kings[side(u.captured > 0)] = -1
+	}
+	if p == King || p == -King {
+		b.kings[side(p > 0)] = m.To
+	}
 	b.WhiteToMove = !b.WhiteToMove
 	return u
 }
@@ -224,6 +258,7 @@ func (b *Board) UnmakeMove(u undo) {
 	b.Squares[u.move.To] = u.captured
 	b.WhiteToMove = !b.WhiteToMove
 	b.hash = u.hash
+	b.kings = u.kings
 }
 
 // pieceDirs holds sliding/stepping offsets as (dr, df) pairs.
@@ -234,73 +269,98 @@ var (
 	rookDirs    = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
 )
 
+// attackTable lists, per target square, where each kind of attacker must
+// stand to attack it.
+type attackTable struct {
+	knight [64][]int8
+	king   [64][]int8
+	// pawn[side][sq]: squares from which a pawn of that side attacks sq.
+	pawn [2][64][]int8
+	// rays[sq][d]: squares outward from sq, nearest first; d < 4 are the
+	// bishopDirs, d ≥ 4 the rookDirs.
+	rays [64][8][]int8
+}
+
+// attacks is built by a package-var initializer, not init(): suitePositions
+// is generated during package var initialization, which runs before any
+// init function, and Go orders var initialization by dependency, so this
+// table is ready before GeneratePositions first calls SquareAttacked.
+var attacks = newAttackTable()
+
+func newAttackTable() *attackTable {
+	t := &attackTable{}
+	onBoard := func(r, f int) bool { return r >= 0 && r < 8 && f >= 0 && f < 8 }
+	dirs := append(bishopDirs[:], rookDirs[:]...)
+	for sq := 0; sq < 64; sq++ {
+		r, f := sq/8, sq%8
+		for _, st := range knightSteps {
+			if nr, nf := r+st[0], f+st[1]; onBoard(nr, nf) {
+				t.knight[sq] = append(t.knight[sq], int8(nr*8+nf))
+			}
+		}
+		for _, st := range kingSteps {
+			if nr, nf := r+st[0], f+st[1]; onBoard(nr, nf) {
+				t.king[sq] = append(t.king[sq], int8(nr*8+nf))
+			}
+		}
+		// A white pawn on rank r-1 attacks rank r; a black one on r+1.
+		for i, pr := range [2]int{r - 1, r + 1} {
+			for _, pf := range [2]int{f - 1, f + 1} {
+				if onBoard(pr, pf) {
+					t.pawn[i][sq] = append(t.pawn[i][sq], int8(pr*8+pf))
+				}
+			}
+		}
+		for d, dir := range dirs {
+			for nr, nf := r+dir[0], f+dir[1]; onBoard(nr, nf); nr, nf = nr+dir[0], nf+dir[1] {
+				t.rays[sq][d] = append(t.rays[sq][d], int8(nr*8+nf))
+			}
+		}
+	}
+	return t
+}
+
 // SquareAttacked reports whether sq is attacked by the given side.
 func (b *Board) SquareAttacked(sq int, byWhite bool) bool {
-	r, f := sq/8, sq%8
 	sign := Piece(1)
 	if !byWhite {
 		sign = -1
 	}
-	// Pawn attacks: a white pawn on r-1 attacks r.
-	pr := r - 1
-	if !byWhite {
-		pr = r + 1
-	}
-	if pr >= 0 && pr < 8 {
-		for _, df := range []int{-1, 1} {
-			pf := f + df
-			if pf >= 0 && pf < 8 && b.Squares[pr*8+pf] == sign*Pawn {
-				return true
-			}
-		}
-	}
-	for _, st := range knightSteps {
-		nr, nf := r+st[0], f+st[1]
-		if nr >= 0 && nr < 8 && nf >= 0 && nf < 8 && b.Squares[nr*8+nf] == sign*Knight {
+	for _, s := range attacks.pawn[side(byWhite)][sq] {
+		if b.Squares[s] == sign*Pawn {
 			return true
 		}
 	}
-	for _, st := range kingSteps {
-		nr, nf := r+st[0], f+st[1]
-		if nr >= 0 && nr < 8 && nf >= 0 && nf < 8 && b.Squares[nr*8+nf] == sign*King {
+	for _, s := range attacks.knight[sq] {
+		if b.Squares[s] == sign*Knight {
 			return true
 		}
 	}
-	slide := func(dirs [4][2]int, p1, p2 Piece) bool {
-		for _, d := range dirs {
-			nr, nf := r+d[0], f+d[1]
-			for nr >= 0 && nr < 8 && nf >= 0 && nf < 8 {
-				q := b.Squares[nr*8+nf]
-				if q != Empty {
-					if q == p1 || q == p2 {
-						return true
-					}
-					break
+	for _, s := range attacks.king[sq] {
+		if b.Squares[s] == sign*King {
+			return true
+		}
+	}
+	queen, slider := sign*Queen, sign*Bishop
+	for d, ray := range attacks.rays[sq] {
+		if d == 4 {
+			slider = sign * Rook
+		}
+		for _, s := range ray {
+			if q := b.Squares[s]; q != Empty {
+				if q == queen || q == slider {
+					return true
 				}
-				nr += d[0]
-				nf += d[1]
+				break
 			}
 		}
-		return false
 	}
-	if slide(bishopDirs, sign*Bishop, sign*Queen) {
-		return true
-	}
-	return slide(rookDirs, sign*Rook, sign*Queen)
+	return false
 }
 
-// kingSquare locates the given side's king (-1 if absent).
+// kingSquare returns the given side's king square (-1 if captured).
 func (b *Board) kingSquare(white bool) int {
-	want := King
-	if !white {
-		want = -King
-	}
-	for sq, p := range b.Squares {
-		if p == want {
-			return sq
-		}
-	}
-	return -1
+	return int(b.kings[side(white)])
 }
 
 // InCheck reports whether the side to move is in check.
@@ -397,18 +457,52 @@ func (b *Board) GenMoves(buf []Move) []Move {
 
 // LegalMoves filters GenMoves by king safety.
 func (b *Board) LegalMoves() []Move {
-	pseudo := b.GenMoves(nil)
+	return b.filterLegal(b.GenMoves(nil), nil)
+}
+
+// filterLegal keeps, in place, the moves of pseudo (pseudo-legal moves for
+// the side to move) that do not leave the mover's king attacked. When p is
+// non-nil it records one branch per move on the verdict.
+//
+// A move needs the make/attack/unmake check only when the mover is in
+// check, or when its from-square shares a rank, file or diagonal with the
+// mover's king (which covers king moves). Otherwise vacating the
+// from-square cannot open a line to the king, the moved piece only adds
+// blockers or removes an attacker, and with no en passant or castling no
+// other square changes, so the king stays safe (DESIGN.md §10).
+func (b *Board) filterLegal(pseudo []Move, p *perf.Profiler) []Move {
+	white := b.WhiteToMove
+	k := b.kingSquare(white)
+	inCheck := k >= 0 && b.SquareAttacked(k, !white)
 	legal := pseudo[:0]
 	for _, m := range pseudo {
-		u := b.MakeMove(m)
-		k := b.kingSquare(!b.WhiteToMove) // mover's king after the move
-		ok := k >= 0 && !b.SquareAttacked(k, b.WhiteToMove)
-		b.UnmakeMove(u)
+		ok := k >= 0
+		if ok && (inCheck || aligned(int(m.From), k)) {
+			ok = b.kingSafeAfter(m)
+		}
+		if p != nil {
+			p.OpsBranch(12, 12, ok)
+		}
 		if ok {
 			legal = append(legal, m)
 		}
 	}
 	return legal
+}
+
+// kingSafeAfter reports whether m leaves the mover's king unattacked, by
+// making and unmaking it.
+func (b *Board) kingSafeAfter(m Move) bool {
+	u := b.MakeMove(m)
+	ok := !b.SquareAttacked(b.kingSquare(!b.WhiteToMove), b.WhiteToMove)
+	b.UnmakeMove(u)
+	return ok
+}
+
+// aligned reports whether squares a and b share a rank, file or diagonal.
+func aligned(a, b int) bool {
+	dr, df := a/8-b/8, a%8-b%8
+	return dr == 0 || df == 0 || dr == df || dr == -df
 }
 
 // Perft counts leaf nodes of the legal move tree to the given depth

@@ -45,6 +45,10 @@ func TestParseFENErrors(t *testing.T) {
 		"rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR x",  // bad side
 		"rnbqkbnr/ppppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w", // 9 files
 		"rnbqkbnr/ppzppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w",  // bad piece
+		"8/8/8/8/8/8/8/8 w",                              // no kings
+		"4k3/8/8/8/8/8/8/8 w",                            // no white king
+		"4k3/8/8/8/8/8/8/3KK3 b",                         // two white kings
+		"4k2k/8/8/8/8/8/8/4K3 w",                         // two black kings
 	}
 	for _, fen := range bad {
 		if _, err := ParseFEN(fen); !errors.Is(err, ErrBadFEN) {

@@ -183,19 +183,7 @@ func (s *Searcher) genLegal(ply int) []Move {
 		s.p.Ops(uint64(len(pseudo)) * 6)
 		s.p.Load(boardBase + uint64(s.board.hash%65536))
 	}
-	legal := pseudo[:0]
-	for _, m := range pseudo {
-		u := s.board.MakeMove(m)
-		k := s.board.kingSquare(!s.board.WhiteToMove)
-		ok := k >= 0 && !s.board.SquareAttacked(k, s.board.WhiteToMove)
-		s.board.UnmakeMove(u)
-		if s.p != nil {
-			s.p.OpsBranch(12, 12, ok)
-		}
-		if ok {
-			legal = append(legal, m)
-		}
-	}
+	legal := s.board.filterLegal(pseudo, s.p)
 	s.movesBuf[ply] = pseudo[:cap(pseudo)]
 	if s.p != nil {
 		s.p.Leave()

@@ -50,7 +50,10 @@ func (c Color) String() string {
 // PassMove is the move value representing a pass.
 const PassMove = -1
 
-// Board is a Go position with simple-ko tracking.
+// Board is a Go position with simple-ko tracking and incrementally
+// maintained strings (maximal orthogonally connected same-color groups), so
+// legality and capture tests need no flood fill. The string design follows
+// Leela's FastBoard: Play updates the strings in place.
 type Board struct {
 	Size   int
 	points []Color
@@ -58,21 +61,52 @@ type Board struct {
 	koPoint int
 	// Captures by each player (index by Color).
 	captures [3]int
-	// scratch buffers for group search.
+	// scratch buffers for Score's region flood fill.
 	visited []int32
 	stamp   int32
 	queue   []int
 	// Precomputed neighbor table: nbr[p*4 : p*4+nbrN[p]] are p's orthogonal
-	// neighbors, in the fixed up/down/left/right order the flood fills and
-	// capture scans depend on. Immutable after NewBoard; shared by clones.
+	// neighbors in up/down/left/right order (see adj). Immutable after
+	// NewBoard; shared by clones.
 	nbr  []int16
 	nbrN []uint8
-	// Legal-scan cache, valid only between scanGroups and the next board
-	// mutation: gid maps each occupied point to a group index, libs holds
-	// each group's liberty count. legalMoves computes it once per scan so
-	// per-point legality tests need no flood fills.
-	gid  []int32
-	libs []int32
+	// String state, valid at occupied points: head[p] is the representative
+	// stone of p's string and next[p] links the string's stones into a ring.
+	// strs is indexed by head and meaningful only there.
+	head []int16
+	next []int16
+	strs []goString
+}
+
+// goString is the per-string state kept at the string's head. Liberties
+// are counted as pseudo-liberties: one per (stone, vacant neighbor)
+// adjacency, so a liberty shared by k stones counts k times. sumV and sumV2
+// sum v and v² over the pseudo-liberties, with v = liberty point + 1.
+type goString struct {
+	size  int32
+	plib  int32
+	sumV  int32
+	sumV2 int64
+}
+
+func (s *goString) addLib(v int32) {
+	s.plib++
+	s.sumV += v
+	s.sumV2 += int64(v) * int64(v)
+}
+
+func (s *goString) removeLib(v int32) {
+	s.plib--
+	s.sumV -= v
+	s.sumV2 -= int64(v) * int64(v)
+}
+
+// atari reports whether a string with at least one liberty has exactly one
+// distinct liberty. By Cauchy–Schwarz, plib·Σv² ≥ (Σv)² with equality iff
+// every pseudo-liberty has the same v, i.e. they are all the same point
+// (DESIGN.md §10).
+func (s *goString) atari() bool {
+	return int64(s.plib)*s.sumV2 == int64(s.sumV)*int64(s.sumV)
 }
 
 // NewBoard returns an empty board of the given size (9, 13 or 19 in the
@@ -81,15 +115,19 @@ func NewBoard(size int) (*Board, error) {
 	if size < 3 || size > 25 {
 		return nil, fmt.Errorf("leela: unsupported board size %d", size)
 	}
+	n := size * size
 	b := &Board{
 		Size:    size,
-		points:  make([]Color, size*size),
+		points:  make([]Color, n),
 		koPoint: -1,
-		visited: make([]int32, size*size),
-		nbr:     make([]int16, size*size*4),
-		nbrN:    make([]uint8, size*size),
+		visited: make([]int32, n),
+		nbr:     make([]int16, n*4),
+		nbrN:    make([]uint8, n),
+		head:    make([]int16, n),
+		next:    make([]int16, n),
+		strs:    make([]goString, n),
 	}
-	for p := 0; p < size*size; p++ {
+	for p := 0; p < n; p++ {
 		r, c := p/size, p%size
 		k := p * 4
 		if r > 0 {
@@ -109,12 +147,6 @@ func NewBoard(size int) (*Board, error) {
 			k++
 		}
 		b.nbrN[p] = uint8(k - p*4)
-		// Pad edge/corner slots with the point itself so flood fills can
-		// iterate a fixed 4 entries: a self entry is already stamped (every
-		// queued point is) and never Vacant there, so it is a no-op.
-		for ; k < p*4+4; k++ {
-			b.nbr[k] = int16(p)
-		}
 	}
 	return b, nil
 }
@@ -125,13 +157,10 @@ func (b *Board) At(p int) Color { return b.points[p] }
 // Captures reports stones captured by c.
 func (b *Board) Captures(c Color) int { return b.captures[c] }
 
-// neighbors appends p's orthogonal neighbors to buf.
-func (b *Board) neighbors(p int, buf []int) []int {
+// adj returns p's orthogonal neighbors.
+func (b *Board) adj(p int) []int16 {
 	k := p * 4
-	for _, nb := range b.nbr[k : k+int(b.nbrN[p])] {
-		buf = append(buf, int(nb))
-	}
-	return buf
+	return b.nbr[k : k+int(b.nbrN[p])]
 }
 
 // nextStamp advances the visited-marking stamp, clearing the visited array
@@ -146,119 +175,32 @@ func (b *Board) nextStamp() {
 	b.stamp++
 }
 
-// scanGroups flood-fills every group on the board once, filling the gid and
-// libs caches. The cache is invalidated by any mutation (Play, removeGroup);
-// legalMoves recomputes it at the start of each scan.
-func (b *Board) scanGroups() {
-	if b.gid == nil {
-		b.gid = make([]int32, len(b.points))
-	}
-	for i := range b.gid {
-		b.gid[i] = -1
-	}
-	b.libs = b.libs[:0]
-	for p := range b.points {
-		if b.points[p] == Vacant || b.gid[p] >= 0 {
-			continue
-		}
-		col := b.points[p]
-		id := int32(len(b.libs))
-		// One stamp per group: visited dedupes this group's liberties.
-		b.nextStamp()
-		b.queue = b.queue[:0]
-		b.queue = append(b.queue, p)
-		b.gid[p] = id
-		nlibs := int32(0)
-		for i := 0; i < len(b.queue); i++ {
-			q := b.queue[i]
-			k := q * 4
-			// Self pads are col-colored with gid already set: no-ops.
-			for _, nb := range b.nbr[k : k+4 : k+4] {
-				switch b.points[nb] {
-				case Vacant:
-					if b.visited[nb] != b.stamp {
-						b.visited[nb] = b.stamp
-						nlibs++
-					}
-				case col:
-					if b.gid[nb] < 0 {
-						b.gid[nb] = id
-						b.queue = append(b.queue, int(nb))
-					}
-				}
-			}
-		}
-		b.libs = append(b.libs, nlibs)
-	}
-}
-
-// legalScanned is Legal for a vacant point under a fresh scanGroups cache.
-// It decides without flood fills, by the same rules Legal applies with them:
-// a vacant neighbor is a liberty of the new stone; an opponent neighbor
-// group with exactly one liberty must have p as that liberty (p is vacant
-// and adjacent), so the move captures; a friendly neighbor group with a
-// second liberty beyond p keeps the merged group alive. Otherwise the move
-// is suicide. The returned boolean is bit-identical to Legal(p, c).
-func (b *Board) legalScanned(p int, c Color) bool {
+// legalVacant is Legal for a vacant point p. A vacant neighbor is a liberty
+// of the new stone; an opponent neighbor string in atari must have p as its
+// only liberty (p is vacant and adjacent), so the move captures; a friendly
+// neighbor string out of atari has a liberty beyond p that keeps the merged
+// string alive. Otherwise the move is suicide. Every string on the board has
+// at least one liberty between moves, as atari requires.
+func (b *Board) legalVacant(p int, c Color) bool {
 	if p == b.koPoint {
 		return false
 	}
 	opp := c.Opponent()
-	k := p * 4
-	for _, nb := range b.nbr[k : k+int(b.nbrN[p])] {
+	for _, nb := range b.adj(p) {
 		switch b.points[nb] {
 		case Vacant:
 			return true
 		case opp:
-			if b.libs[b.gid[nb]] == 1 {
+			if b.strs[b.head[nb]].atari() {
 				return true
 			}
 		default: // own color
-			if b.libs[b.gid[nb]] >= 2 {
+			if !b.strs[b.head[nb]].atari() {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// groupHasLiberty reports whether the group containing p (of color col) has
-// at least one liberty. When it returns false the group's points are
-// recorded in b.queue (which removeGroup and the ko check consume); on true
-// it returns at the first liberty, so b.queue holds only a partial group —
-// no caller reads it in that case.
-func (b *Board) groupHasLiberty(p int, col Color) bool {
-	b.nextStamp()
-	b.queue = b.queue[:0]
-	b.queue = append(b.queue, p)
-	b.visited[p] = b.stamp
-	for i := 0; i < len(b.queue); i++ {
-		q := b.queue[i]
-		k := q * 4
-		// Fixed 4-wide iteration over the padded table (see NewBoard): every
-		// queued point is col-colored and stamped, so self pads fall through.
-		for _, nb := range b.nbr[k : k+4 : k+4] {
-			switch b.points[nb] {
-			case Vacant:
-				return true
-			case col:
-				if b.visited[nb] != b.stamp {
-					b.visited[nb] = b.stamp
-					b.queue = append(b.queue, int(nb))
-				}
-			}
-		}
-	}
-	return false
-}
-
-// removeGroup removes the group recorded in b.queue, crediting captures.
-func (b *Board) removeGroup(captor Color) int {
-	for _, q := range b.queue {
-		b.points[q] = Vacant
-	}
-	b.captures[captor] += len(b.queue)
-	return len(b.queue)
 }
 
 // ErrIllegalMove reports an illegal play.
@@ -269,31 +211,10 @@ func (b *Board) Legal(p int, c Color) bool {
 	if p == PassMove {
 		return true
 	}
-	if p < 0 || p >= len(b.points) || b.points[p] != Vacant || p == b.koPoint {
+	if p < 0 || p >= len(b.points) || b.points[p] != Vacant {
 		return false
 	}
-	k := p * 4
-	nbrs := b.nbr[k : k+int(b.nbrN[p])]
-	// A vacant neighbor is a liberty of the placed stone's group, so the move
-	// can be neither suicide nor ko-barred (p != koPoint already held): legal.
-	for _, nb := range nbrs {
-		if b.points[nb] == Vacant {
-			return true
-		}
-	}
-	// Tentatively place and test for suicide.
-	b.points[p] = c
-	opp := c.Opponent()
-	capturesSomething := false
-	for _, nb := range nbrs {
-		if b.points[nb] == opp && !b.groupHasLiberty(int(nb), opp) {
-			capturesSomething = true
-			break
-		}
-	}
-	ok := capturesSomething || b.groupHasLiberty(p, c)
-	b.points[p] = Vacant
-	return ok
+	return b.legalVacant(p, c)
 }
 
 // Play places a stone for c at p (or passes). It returns the number of
@@ -306,17 +227,18 @@ func (b *Board) Play(p int, c Color) (int, error) {
 	if !b.Legal(p, c) {
 		return 0, fmt.Errorf("%w: %s at %d", ErrIllegalMove, c, p)
 	}
-	b.points[p] = c
+	b.place(p, c)
 	opp := c.Opponent()
-	var nbuf [4]int
 	captured := 0
 	koCandidate := -1
-	for _, nb := range b.neighbors(p, nbuf[:0]) {
-		if b.points[nb] == opp && !b.groupHasLiberty(nb, opp) {
-			if len(b.queue) == 1 {
-				koCandidate = b.queue[0]
+	for _, nb := range b.adj(p) {
+		// A string removed via an earlier neighbor is already Vacant here.
+		if b.points[nb] == opp && b.strs[b.head[nb]].plib == 0 {
+			h := b.head[nb]
+			if b.strs[h].size == 1 {
+				koCandidate = int(h)
 			}
-			captured += b.removeGroup(c)
+			captured += b.removeString(h, c)
 		}
 	}
 	// Simple ko: exactly one stone captured by a single new stone whose
@@ -329,12 +251,81 @@ func (b *Board) Play(p int, c Color) (int, error) {
 	return captured, nil
 }
 
+// place puts a c stone on vacant p as a one-stone string, takes p from the
+// pseudo-liberties of every neighboring string, and merges p with its
+// friendly neighbors. Captures are left to the caller.
+func (b *Board) place(p int, c Color) {
+	b.points[p] = c
+	b.head[p] = int16(p)
+	b.next[p] = int16(p)
+	s := goString{size: 1}
+	v := int32(p) + 1
+	for _, nb := range b.adj(p) {
+		if b.points[nb] == Vacant {
+			s.addLib(int32(nb) + 1)
+		} else {
+			b.strs[b.head[nb]].removeLib(v)
+		}
+	}
+	b.strs[p] = s
+	for _, nb := range b.adj(p) {
+		if b.points[nb] == c && b.head[nb] != b.head[p] {
+			b.merge(b.head[p], b.head[nb])
+		}
+	}
+}
+
+// merge joins the strings headed by x and y, relabeling the smaller one.
+func (b *Board) merge(x, y int16) {
+	if b.strs[x].size < b.strs[y].size {
+		x, y = y, x
+	}
+	for q := y; ; {
+		b.head[q] = x
+		if q = b.next[q]; q == y {
+			break
+		}
+	}
+	b.next[x], b.next[y] = b.next[y], b.next[x]
+	sx, sy := &b.strs[x], &b.strs[y]
+	sx.size += sy.size
+	sx.plib += sy.plib
+	sx.sumV += sy.sumV
+	sx.sumV2 += sy.sumV2
+}
+
+// removeString captures the string headed by h for captor: its stones
+// become vacant and each freed point is credited as a pseudo-liberty to
+// every neighboring string. It returns the number of stones removed.
+func (b *Board) removeString(h int16, captor Color) int {
+	for q := h; ; {
+		b.points[q] = Vacant
+		if q = b.next[q]; q == h {
+			break
+		}
+	}
+	n := 0
+	for q := h; ; {
+		v := int32(q) + 1
+		for _, nb := range b.adj(int(q)) {
+			if b.points[nb] != Vacant {
+				b.strs[b.head[nb]].addLib(v)
+			}
+		}
+		n++
+		if q = b.next[q]; q == h {
+			break
+		}
+	}
+	b.captures[captor] += n
+	return n
+}
+
 // isSingleStoneWithOneLiberty checks the ko precondition for the stone just
 // placed at p.
 func (b *Board) isSingleStoneWithOneLiberty(p int, c Color) bool {
-	var nbuf [4]int
 	libs := 0
-	for _, nb := range b.neighbors(p, nbuf[:0]) {
+	for _, nb := range b.adj(p) {
 		switch b.points[nb] {
 		case Vacant:
 			libs++
@@ -347,7 +338,7 @@ func (b *Board) isSingleStoneWithOneLiberty(p int, c Color) bool {
 
 // Clone deep-copies the board.
 func (b *Board) Clone() *Board {
-	nb := &Board{
+	return &Board{
 		Size:     b.Size,
 		points:   append([]Color(nil), b.points...),
 		koPoint:  b.koPoint,
@@ -356,18 +347,22 @@ func (b *Board) Clone() *Board {
 		// The neighbor table is immutable — clones share it.
 		nbr:  b.nbr,
 		nbrN: b.nbrN,
+		head: append([]int16(nil), b.head...),
+		next: append([]int16(nil), b.next...),
+		strs: append([]goString(nil), b.strs...),
 	}
-	return nb
 }
 
 // CopyFrom resets b to src's position without allocating. The boards must
-// share a size; scratch state (visited stamps, scan caches) is left as-is —
-// stamps only ever advance, so stale marks never alias fresh ones, and the
-// scan cache is recomputed per legalMoves call.
+// share a size; Score's scratch (visited stamps) is left as-is — stamps only
+// ever advance, so stale marks never alias fresh ones.
 func (b *Board) CopyFrom(src *Board) {
 	copy(b.points, src.points)
 	b.koPoint = src.koPoint
 	b.captures = src.captures
+	copy(b.head, src.head)
+	copy(b.next, src.next)
+	copy(b.strs, src.strs)
 }
 
 // Score computes area scores (stones + surrounded empty territory) for both
@@ -377,7 +372,6 @@ func (b *Board) Score() (black, white int) {
 	// One stamp marks every visited vacant point: regions are disjoint, so
 	// a single stamp suffices and no per-call allocation is needed.
 	b.nextStamp()
-	var nbuf [4]int
 	for p := 0; p < n; p++ {
 		switch b.points[p] {
 		case Black:
@@ -394,7 +388,7 @@ func (b *Board) Score() (black, white int) {
 			b.visited[p] = b.stamp
 			touchBlack, touchWhite := false, false
 			for i := 0; i < len(b.queue); i++ {
-				for _, nb := range b.neighbors(b.queue[i], nbuf[:0]) {
+				for _, nb := range b.adj(b.queue[i]) {
 					switch b.points[nb] {
 					case Black:
 						touchBlack = true
@@ -403,7 +397,7 @@ func (b *Board) Score() (black, white int) {
 					case Vacant:
 						if b.visited[nb] != b.stamp {
 							b.visited[nb] = b.stamp
-							b.queue = append(b.queue, nb)
+							b.queue = append(b.queue, int(nb))
 						}
 					}
 				}
@@ -421,8 +415,7 @@ func (b *Board) Score() (black, white int) {
 // isEyeLike reports whether p is a single-point eye for c (playout move
 // filter: never fill your own eyes).
 func (b *Board) isEyeLike(p int, c Color) bool {
-	var nbuf [4]int
-	for _, nb := range b.neighbors(p, nbuf[:0]) {
+	for _, nb := range b.adj(p) {
 		if b.points[nb] != c {
 			return false
 		}
