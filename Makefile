@@ -48,9 +48,11 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$${f#*:}$$" -fuzztime $(FUZZTIME) "$${f%%:*}"; \
 	done
 
-# Regenerate the tracked benchmark baseline: event-path microbenchmarks
-# (optimized vs reference simulators) plus the full-suite wall-clock
-# comparison. Slow — it characterizes the whole suite twice.
+# Regenerate the tracked benchmark baseline: event-path microbenchmarks plus
+# the full-suite wall clock (serial and parallel), the exact-vs-sampled rows
+# and the per-benchmark rows. Slow — it characterizes the suite several
+# times. The optimized-vs-reference micro comparison is
+# `go test -bench . ./internal/perf/`.
 bench:
 	$(GO) run ./cmd/albertabench -out BENCH_profiler.json
 
@@ -74,8 +76,8 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./internal/perf/ .
 
 # Full differential sweep: every benchmark × every workload, optimized vs
-# reference event path AND prepared vs cold runs, Reports required
-# bit-identical.
+# reference simulators (the test-only oracle, handed to the harness as its
+# profiler) AND prepared vs cold runs, Reports required bit-identical.
 diff-full:
 	ALBERTA_DIFF_FULL=1 $(GO) test -run 'TestSuiteDifferentialReference|TestPreparedMatchesColdRuns' -v ./internal/harness/
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/benchmarks/gcc/cc"
 	"repro/internal/core"
 	"repro/internal/onefile"
-	"repro/internal/perf"
 )
 
 func main() {
@@ -35,8 +34,8 @@ func main() {
 			log.Fatalf("%s: %v", b.Name(), err)
 		}
 		for _, w := range ws {
-			p := perf.NewWithOptions(perf.Options{Stride: 8})
-			res, err := b.Run(w, p)
+			// Unprofiled: only the checksum is printed.
+			res, err := b.Run(w, nil)
 			if err != nil {
 				log.Fatalf("%s/%s: %v", b.Name(), w.WorkloadName(), err)
 			}

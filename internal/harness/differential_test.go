@@ -13,8 +13,9 @@ import (
 
 // TestSuiteDifferentialReference replays benchmark workloads through the
 // optimized event path and the retained pre-optimization reference path
-// (Options.Reference) and requires bit-identical Measurements — the proof
-// that the event-path rewrite changed no Report anywhere in the suite.
+// (perf.Options.Reference, handed to runWorkload as its profiler) and
+// requires bit-identical Measurements — the proof that the event-path
+// rewrite changed no Report anywhere in the suite.
 //
 // By default every benchmark runs its test and train workloads, which keeps
 // the sweep affordable on one core. Set ALBERTA_DIFF_FULL=1 (CI does, in a
@@ -46,11 +47,15 @@ func TestSuiteDifferentialReference(t *testing.T) {
 			b, w := b, w
 			pairs++
 			t.Run(b.Name()+"/"+w.WorkloadName(), func(t *testing.T) {
-				opt, err := RunWorkload(ctx, b, w, Options{Reps: 1, Stride: 1})
+				opts, err := Options{Reps: 1}.Normalize()
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := RunWorkload(ctx, b, w, Options{Reps: 1, Stride: 1, Reference: true})
+				opt, err := runWorkload(ctx, b, w, opts, perf.New())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := runWorkload(ctx, b, w, opts, perf.NewWithOptions(perf.Options{Reference: true}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +110,7 @@ func TestPreparedMatchesColdRuns(t *testing.T) {
 			b, w := b, w
 			pairs++
 			t.Run(b.Name()+"/"+w.WorkloadName(), func(t *testing.T) {
-				p := perf.NewWithOptions(perf.Options{Stride: 1})
+				p := perf.New()
 				res, err := b.Run(w, p)
 				if err != nil {
 					t.Fatal(err)
@@ -119,7 +124,7 @@ func TestPreparedMatchesColdRuns(t *testing.T) {
 				// this also proves recycled prepared state (bytecode
 				// scratches, VM arenas, compiled sheets) is bit-stable
 				// across ≥3 consecutive Executes.
-				m, err := RunWorkload(ctx, b, w, Options{Reps: 3, Stride: 1})
+				m, err := RunWorkload(ctx, b, w, Options{Reps: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +150,7 @@ func TestPreparedMatchesColdRuns(t *testing.T) {
 
 // TestCompiledEnginesRecycleFullReports drives the three bytecode-compiled
 // interpreter benchmarks — perlbench, gcc and xalan — through one Prepare
-// and four consecutive Executes each on fresh stride-1 profilers, and
+// and four consecutive Executes each on fresh profilers, and
 // requires the complete perf.Report (methods, coverage, cycles, top-down,
 // every counter) to be bit-identical run over run. This is a stronger
 // per-Execute assertion than the harness sweep above, which compares the
@@ -181,7 +186,7 @@ func TestCompiledEnginesRecycleFullReports(t *testing.T) {
 				var first perf.Report
 				var firstSum uint64
 				for rep := 0; rep < 4; rep++ {
-					p := perf.NewWithOptions(perf.Options{Stride: 1})
+					p := perf.New()
 					res, err := pw.Execute(p)
 					if err != nil {
 						t.Fatal(err)

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness/report"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -13,16 +15,16 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := DefaultOptions()
-	if got.Reps != def.Reps || got.Stride != def.Stride || got.Workers != def.Workers {
+	if got.Reps != def.Reps || got.Workers != def.Workers {
 		t.Errorf("normalized zero Options = %+v, want DefaultOptions %+v", got, def)
 	}
 	// Explicit values pass through untouched.
-	o := Options{Reps: 5, Stride: 2, Workers: 7, IncludeTest: true, Reference: true, FailFast: true}
+	o := Options{Reps: 5, Workers: 7, IncludeTest: true, FailFast: true}
 	got, err = o.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Reps != 5 || got.Stride != 2 || got.Workers != 7 || !got.IncludeTest || !got.Reference || !got.FailFast {
+	if got.Reps != 5 || got.Workers != 7 || !got.IncludeTest || !got.FailFast {
 		t.Errorf("explicit options mangled: %+v", got)
 	}
 	// Negative workers collapse to the GOMAXPROCS sentinel.
@@ -35,9 +37,6 @@ func TestNormalizeDefaults(t *testing.T) {
 func TestNormalizeRejectsNegatives(t *testing.T) {
 	if _, err := (Options{Reps: -1}).Normalize(); err == nil {
 		t.Error("negative reps accepted")
-	}
-	if _, err := (Options{Stride: -2}).Normalize(); err == nil {
-		t.Error("negative stride accepted")
 	}
 }
 
@@ -54,18 +53,55 @@ func TestRunRejectsInvalidOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRunner(s, Options{Stride: -1}).Run(context.Background()); err == nil {
-		t.Error("Runner.Run accepted negative stride")
+	if _, err := NewRunner(s, Options{Reps: -1}).Run(context.Background()); err == nil {
+		t.Error("Runner.Run accepted negative reps")
 	}
 }
 
 func TestReportConfig(t *testing.T) {
-	o, err := Options{Reps: 2, Stride: 4, IncludeTest: true, Reference: true, Workers: 9}.Normalize()
+	o, err := Options{Reps: 2, IncludeTest: true, Workers: 9}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := o.ReportConfig()
-	if rc.Reps != 2 || rc.Stride != 4 || !rc.IncludeTest || !rc.Reference {
+	if rc.Reps != 2 || rc.Stride != 1 || !rc.IncludeTest || rc.Reference {
 		t.Errorf("ReportConfig = %+v", rc)
+	}
+}
+
+// TestOptionsFromConfig: OptionsFromConfig inverts ReportConfig for exact
+// and sampled configs, and rejects stride and reference values other than
+// the ones every run records, naming the field.
+func TestOptionsFromConfig(t *testing.T) {
+	for _, o := range []Options{
+		{Reps: 2, IncludeTest: true},
+		{Reps: 1, Sampled: true, SampledInterval: 1 << 12, SampledPhases: 5},
+	} {
+		o, err := o.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := OptionsFromConfig(o.ReportConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ReportConfig() != o.ReportConfig() {
+			t.Errorf("round trip of %+v gave %+v", o.ReportConfig(), got.ReportConfig())
+		}
+	}
+	if o, err := OptionsFromConfig(report.RunConfig{}); err != nil || o.Reps != 3 {
+		t.Errorf("zero config: %+v, %v (want normalized defaults)", o, err)
+	}
+	for field, cfg := range map[string]report.RunConfig{
+		"stride":    {Stride: 2},
+		"reference": {Reference: true},
+	} {
+		_, err := OptionsFromConfig(cfg)
+		if err == nil || !strings.Contains(err.Error(), "config."+field) {
+			t.Errorf("%+v: err = %v, want a rejection naming config.%s", cfg, err, field)
+		}
+	}
+	if _, err := OptionsFromConfig(report.RunConfig{Stride: -1}); err == nil {
+		t.Error("negative stride accepted")
 	}
 }

@@ -36,12 +36,14 @@ type RunConfig struct {
 	// Reps is the number of repetitions each workload was executed.
 	// It affects only the WallSeconds averaging, never the modeled fields.
 	Reps int `json:"reps"`
-	// Stride is the profiler's event-sampling stride (1 = exact).
+	// Stride is always 1: every run simulates every event. The field
+	// stays for schema version 1 compatibility.
 	Stride int `json:"stride"`
 	// IncludeTest records whether SPEC test inputs were measured.
 	IncludeTest bool `json:"include_test"`
-	// Reference records whether the retained pre-optimization event path
-	// was used (bit-identical modeled fields, different wall time).
+	// Reference is always false: runs use the optimized event path (the
+	// retained reference path is a test-only oracle). The field stays for
+	// schema version 1 compatibility.
 	Reference bool `json:"reference"`
 	// Sampled records whether measurements were taken by phase-sampled
 	// simulation; SampledInterval and SampledPhases are its profiling
@@ -124,8 +126,8 @@ func ParseSections(names []string) (Sections, error) {
 // equal envelopes is byte-identical, which the service's result cache
 // relies on.
 type Suite struct {
-	SchemaVersion int      `json:"schema_version"`
-	Benchmarks    []string `json:"benchmarks"`
+	SchemaVersion int       `json:"schema_version"`
+	Benchmarks    []string  `json:"benchmarks"`
 	Config        RunConfig `json:"config"`
 
 	Measurements Results          `json:"measurements,omitempty"`

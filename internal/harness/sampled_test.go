@@ -135,8 +135,6 @@ func TestSampledOptionsNormalize(t *testing.T) {
 		t.Fatalf("ReportConfig dropped sampled fields: %+v", cfg)
 	}
 	for _, bad := range []Options{
-		{Sampled: true, Reference: true},
-		{Sampled: true, Stride: 2},
 		{Sampled: true, SampledPhases: -1},
 		{SampledInterval: 1 << 10},
 		{SampledPhases: 4},

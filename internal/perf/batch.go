@@ -9,92 +9,65 @@ import "repro/internal/uarch"
 // same-line memo (see classifyLoad) collapse runs of consecutive same-line
 // accesses into a single hierarchy probe.
 //
-// Two conditions force the literal per-event fallback:
+// The reference path (Options.Reference) decomposes every batched call into
+// its literal per-event form: it is the retained pre-optimization event
+// path, which had no batched forms.
 //
-//   - Stride > 1: the sampling phase (memTick/brTick) must advance exactly
-//     as the decomposition would advance it.
-//   - Options.Reference: the reference path is the retained pre-optimization
-//     event path, which had no batched forms.
-//
-// Phase-sampled passes (see sampled.go) keep the batched forms but handle
-// them at batch granularity: the whole batch commits to the interval that
-// is current at its start — probed in live intervals, counted only in dead
-// ones — and any interval boundaries it spans fire after its ops land.
-// Both the profile and the measure pass advance the interval clock through
-// the identical batch calls, so boundaries fall at the same op positions
-// and the plan's interval indices line up.
+// Phase-sampled passes (see sampled.go) handle the batched forms at batch
+// granularity: the whole batch commits to the interval that is current at
+// its start — probed in live intervals, counted only in dead ones — and any
+// interval boundaries it spans fire after its ops land. Both the profile and
+// the measure pass advance the interval clock through the identical batch
+// calls, so boundaries fall at the same op positions and the plan's interval
+// indices line up.
 //
 // Events on the three independent simulator channels — fetch (Ops/LongOps →
 // L1I/ITLB), data (Load/Store → hierarchy) and branch (Branch → predictor)
 // — only order within their own channel; fused calls such as OpsBranch may
 // therefore reorder across channels and still report identically.
 
-// LoadRange records n loads at base, base+stride, ..., base+(n-1)*stride:
-// exactly `for k := 0..n-1 { Load(base + k*stride) }`, with the per-load
+// LoadRange records n loads at base, base+step, ..., base+(n-1)*step:
+// exactly `for k := 0..n-1 { Load(base + k*step) }`, with the per-load
 // bookkeeping hoisted out of the loop.
-func (p *Profiler) LoadRange(base, stride uint64, n uint64) {
-	if p.stride != 1 || p.ref != nil {
+func (p *Profiler) LoadRange(base, step uint64, n uint64) {
+	if p.ref != nil {
 		for k := uint64(0); k < n; k++ {
-			p.Load(base + k*stride)
+			p.Load(base + k*step)
 		}
 		return
 	}
 	m := p.current
 	m.loads += n
 	m.ops += n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				m.sLoads += n
-				for k := uint64(0); k < n; k++ {
-					p.classifyLoad(m, base+k*stride)
-				}
-			} else if s.live {
-				s.touch(m)
-				for k := uint64(0); k < n; k++ {
-					p.classifyLoadScratch(m, base+k*stride)
-				}
-			}
+	if p.role == roleProbe {
+		for k := uint64(0); k < n; k++ {
+			p.classifyLoad(m, base+k*step)
 		}
-		p.sampAdvance(n)
-		return
 	}
-	m.sLoads += n
-	for k := uint64(0); k < n; k++ {
-		p.classifyLoad(m, base+k*stride)
+	if p.samp != nil {
+		p.sampAdvance(n)
 	}
 }
 
-// StoreRange records n stores at base, base+stride, ...: exactly
-// `for k := 0..n-1 { Store(base + k*stride) }`.
-func (p *Profiler) StoreRange(base, stride uint64, n uint64) {
-	if p.stride != 1 || p.ref != nil {
+// StoreRange records n stores at base, base+step, ...: exactly
+// `for k := 0..n-1 { Store(base + k*step) }`.
+func (p *Profiler) StoreRange(base, step uint64, n uint64) {
+	if p.ref != nil {
 		for k := uint64(0); k < n; k++ {
-			p.Store(base + k*stride)
+			p.Store(base + k*step)
 		}
 		return
 	}
 	m := p.current
 	m.stores += n
 	m.ops += n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				for k := uint64(0); k < n; k++ {
-					p.storeProbe(m, base+k*stride)
-				}
-			} else if s.live {
-				s.touch(m)
-				for k := uint64(0); k < n; k++ {
-					p.storeProbeScratch(m, base+k*stride)
-				}
-			}
+	if p.role == roleProbe {
+		for k := uint64(0); k < n; k++ {
+			p.storeProbe(m, base+k*step)
 		}
-		p.sampAdvance(n)
-		return
 	}
-	for k := uint64(0); k < n; k++ {
-		p.storeProbe(m, base+k*stride)
+	if p.samp != nil {
+		p.sampAdvance(n)
 	}
 }
 
@@ -102,7 +75,7 @@ func (p *Profiler) StoreRange(base, stride uint64, n uint64) {
 // kernels: exactly `Load(addr); Store(addr)`. The store's probe is always
 // coalesced by the memo — the load just made the line MRU.
 func (p *Profiler) LoadStore(addr uint64) {
-	if p.stride != 1 || p.ref != nil {
+	if p.ref != nil {
 		p.Load(addr)
 		p.Store(addr)
 		return
@@ -111,29 +84,20 @@ func (p *Profiler) LoadStore(addr uint64) {
 	m.loads++
 	m.stores++
 	m.ops += 2
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				m.sLoads++
-				p.classifyLoad(m, addr)
-			} else if s.live {
-				s.touch(m)
-				p.classifyLoadScratch(m, addr)
-			}
-		}
-		p.sampAdvance(2)
-		return
+	if p.role == roleProbe {
+		p.classifyLoad(m, addr)
 	}
-	m.sLoads++
-	p.classifyLoad(m, addr)
+	if p.samp != nil {
+		p.sampAdvance(2)
+	}
 }
 
-// LoadStoreRange records n load/store pairs at base, base+stride, ...:
-// exactly `for k := 0..n-1 { Load(base + k*stride); Store(base + k*stride) }`.
-func (p *Profiler) LoadStoreRange(base, stride uint64, n uint64) {
-	if p.stride != 1 || p.ref != nil {
+// LoadStoreRange records n load/store pairs at base, base+step, ...:
+// exactly `for k := 0..n-1 { Load(base + k*step); Store(base + k*step) }`.
+func (p *Profiler) LoadStoreRange(base, step uint64, n uint64) {
+	if p.ref != nil {
 		for k := uint64(0); k < n; k++ {
-			addr := base + k*stride
+			addr := base + k*step
 			p.Load(addr)
 			p.Store(addr)
 		}
@@ -143,26 +107,13 @@ func (p *Profiler) LoadStoreRange(base, stride uint64, n uint64) {
 	m.loads += n
 	m.stores += n
 	m.ops += 2 * n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				m.sLoads += n
-				for k := uint64(0); k < n; k++ {
-					p.classifyLoad(m, base+k*stride)
-				}
-			} else if s.live {
-				s.touch(m)
-				for k := uint64(0); k < n; k++ {
-					p.classifyLoadScratch(m, base+k*stride)
-				}
-			}
+	if p.role == roleProbe {
+		for k := uint64(0); k < n; k++ {
+			p.classifyLoad(m, base+k*step)
 		}
-		p.sampAdvance(2 * n)
-		return
 	}
-	m.sLoads += n
-	for k := uint64(0); k < n; k++ {
-		p.classifyLoad(m, base+k*stride)
+	if p.samp != nil {
+		p.sampAdvance(2 * n)
 	}
 }
 
@@ -180,51 +131,28 @@ func (p *Profiler) OpsBranch(n uint64, site uint64, taken bool) {
 	if taken {
 		m.taken++
 	}
-	if s := p.samp; s != nil {
-		if s.profiling {
-			s.cur[sigBucket(m.codeBase+site*8)]++
-		} else if s.warming {
-			p.fetch(m, n)
-			m.sBranches++
-			if !p.observe(m.codeBase+site*8, taken) {
-				m.sMispredicts++
-			}
-		} else if s.live {
-			s.touch(m)
-			p.sampFetch(m, n)
-			if !p.observe(m.codeBase+site*8, taken) {
-				m.iMisp++
-			}
-		} else {
-			advanceFetch(m, n)
+	switch p.role {
+	case roleProbe:
+		p.fetch(m, n)
+		if !p.observe(m.codeBase+site*8, taken) {
+			m.pending.mispredicts++
 		}
+	case roleSignature:
+		p.samp.cur[sigBucket(m.codeBase+site*8)]++
+	default:
+		advanceFetch(m, n)
+	}
+	if p.samp != nil {
 		p.sampAdvance(n + 1)
-		return
-	}
-	p.fetch(m, n)
-	if p.stride == 1 {
-		m.sBranches++
-		if !p.observe(m.codeBase+site*8, taken) {
-			m.sMispredicts++
-		}
-		return
-	}
-	p.brTick++
-	if p.brTick >= p.stride {
-		p.brTick = 0
-		m.sBranches++
-		if !p.observe(m.codeBase+site*8, taken) {
-			m.sMispredicts++
-		}
 	}
 }
 
-// classifyLoad probes the hierarchy for one sampled load and folds the
-// outcome into the method's sampled counters. On the optimized path a
-// repeat of the last probed line is skipped: it is a guaranteed L1+DTLB MRU
-// hit (same line ⇒ same page; touching an MRU way of a true-LRU set is the
-// identity; an L1 hit never reaches L2/LLC), and HitL1 without a TLB miss
-// increments nothing here.
+// classifyLoad probes the hierarchy for one load and adds the outcome to
+// the method's pending probe counters. On the optimized path a repeat of
+// the last probed line is skipped: it is a guaranteed L1+DTLB MRU hit
+// (same line ⇒ same page; re-accessing an MRU way of a true-LRU set is
+// the identity; an L1 hit never reaches L2/LLC), and HitL1 without a TLB
+// miss increments nothing here.
 func (p *Profiler) classifyLoad(m *methodRecord, addr uint64) {
 	if line := addr >> p.memShift; p.ref == nil {
 		if line == p.lastData {
@@ -234,19 +162,19 @@ func (p *Profiler) classifyLoad(m *methodRecord, addr uint64) {
 	}
 	res, tlbMiss := p.memAccess(addr)
 	if tlbMiss {
-		m.sTLBMiss++
+		m.pending.tlbMiss++
 	}
 	switch res {
 	case uarch.HitL2:
-		m.sL2++
+		m.pending.l2++
 	case uarch.HitLLC:
-		m.sLLC++
+		m.pending.llc++
 	case uarch.HitMemory:
-		m.sMem++
+		m.pending.mem++
 	}
 }
 
-// storeProbe probes the hierarchy for one sampled store (TLB outcome only),
+// storeProbe probes the hierarchy for one store (TLB outcome only),
 // with the same same-line memo as classifyLoad.
 func (p *Profiler) storeProbe(m *methodRecord, addr uint64) {
 	if line := addr >> p.memShift; p.ref == nil {
@@ -256,6 +184,6 @@ func (p *Profiler) storeProbe(m *methodRecord, addr uint64) {
 		p.lastData = line
 	}
 	if _, tlbMiss := p.memAccess(addr); tlbMiss {
-		m.sTLBMiss++
+		m.pending.tlbMiss++
 	}
 }

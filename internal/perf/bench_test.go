@@ -47,7 +47,7 @@ func BenchmarkLoadStream(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadMiss measures the adversarial line-stride walk: no same-line
+// BenchmarkLoadMiss measures the adversarial line-by-line walk: no same-line
 // reuse at all, so every load pays the full four-level probe plus fills.
 // This isolates the raw simulator speedup with no help from the memo.
 func BenchmarkLoadMiss(b *testing.B) {
@@ -128,7 +128,7 @@ func BenchmarkOpsBranch(b *testing.B) {
 }
 
 // BenchmarkLoadRange measures a 64-load sequential batch (8-byte elements,
-// i.e. 8 loads per cache line get coalesced into one probe at stride 1).
+// i.e. 8 loads per cache line get coalesced into one probe).
 func BenchmarkLoadRange(b *testing.B) {
 	for _, path := range eventPaths {
 		b.Run(path.name, func(b *testing.B) {

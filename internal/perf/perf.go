@@ -38,20 +38,30 @@ type Options struct {
 	// Model supplies the slot cost parameters; zero value means
 	// uarch.DefaultModel.
 	Model uarch.Model
-	// Predictor constructs the branch predictor; nil means a tournament
-	// predictor.
-	Predictor uarch.Predictor
-	// Stride sub-samples expensive event simulation: only every Stride-th
-	// Branch/Load/Store is routed through the simulators and the observed
-	// outcome mix is scaled back up. Stride ≤ 1 simulates everything.
-	Stride int
 	// Reference selects the retained pre-optimization event path: reference
-	// simulators (uarch.RefHierarchy, uarch.RefCache, uarch.RefTournament
-	// unless Predictor is set) and per-event decomposition of the batched
-	// APIs. Reports are bit-identical to the optimized path — the option
-	// exists so differential tests and the benchmark baseline can compare
-	// the two in place.
+	// simulators (uarch.RefHierarchy, uarch.RefCache, uarch.RefTournament)
+	// and per-event decomposition of the batched APIs. Reports are
+	// bit-identical to the optimized path. Only tests construct it: it is
+	// the oracle the differential tests and the go-test benchmarks compare
+	// the optimized simulators against.
 	Reference bool
+}
+
+// probeCounts are the simulator-derived counters of one method: the
+// outcomes of predictor, hierarchy and front-end probes.
+type probeCounts struct {
+	mispredicts, l2, llc, mem, tlbMiss, icMiss, itlbMiss uint64
+}
+
+// addScaled adds w × d to c.
+func (c *probeCounts) addScaled(d *probeCounts, w uint64) {
+	c.mispredicts += d.mispredicts * w
+	c.l2 += d.l2 * w
+	c.llc += d.llc * w
+	c.mem += d.mem * w
+	c.tlbMiss += d.tlbMiss * w
+	c.icMiss += d.icMiss * w
+	c.itlbMiss += d.itlbMiss * w
 }
 
 type methodRecord struct {
@@ -61,45 +71,54 @@ type methodRecord struct {
 	fetchOff uint64
 
 	// Exact event counts.
-	ops, longOps     uint64
-	branches, taken  uint64
-	loads, stores    uint64
-	icMiss, itlbMiss uint64
+	ops, longOps    uint64
+	branches, taken uint64
+	loads, stores   uint64
 
-	// Sampled outcome counts (scaled by stride at report time).
-	sBranches, sMispredicts           uint64
-	sLoads, sL2, sLLC, sMem, sTLBMiss uint64
-
-	// Interval scratch for phase-sampled mode (see sampled.go): probe
-	// outcomes of the current live interval, folded into the counters
-	// above — multiplied by the interval weight — at the next boundary.
-	// mark is the interval epoch that last touched this record.
-	iMisp, iL2, iLLC, iMem, iTLB, iIC, iITLB uint64
-	mark                                     uint32
+	// pending collects probe outcomes: those of the whole pass in exact
+	// mode and the warm pass, those of the open live interval in a measure
+	// pass. folded holds a measure pass's finished intervals, each already
+	// multiplied by its weight (see sampled.go). A report's probe counters
+	// are folded + pending × the open interval's weight.
+	pending, folded probeCounts
 }
+
+// role is what the hot event methods do with an event in the current pass
+// or interval. It is chosen once per pass and, in a measure pass, once per
+// interval — never per event.
+type role uint8
+
+const (
+	// roleProbe routes events through the simulators: exact mode, the
+	// warm pass and live measure intervals.
+	roleProbe role = iota
+	// roleSignature counts interval signatures only: the profile pass.
+	roleSignature
+	// roleSkip probes nothing and only advances fetch offsets: dead
+	// measure intervals.
+	roleSkip
+)
 
 // Profiler is the modeled equivalent of "perf stat -e topdown... + perf
 // record". It is not safe for concurrent use; benchmarks are single-threaded
 // (SPEC CPU rate runs are independent copies).
 type Profiler struct {
 	model uarch.Model
-	pred  uarch.Predictor
-	// tour devirtualizes the default predictor: when pred is the concrete
-	// *uarch.Tournament, the branch hot path calls it directly instead of
-	// through the interface.
-	tour *uarch.Tournament
-	mem  *uarch.Hierarchy
-	l1i  *uarch.Cache
-	itlb *uarch.Cache
+	tour  *uarch.Tournament
+	mem   *uarch.Hierarchy
+	l1i   *uarch.Cache
+	itlb  *uarch.Cache
 
 	// ref, when non-nil, routes every simulator probe through the retained
 	// pre-optimization models instead (see Options.Reference). The hot path
 	// pays one well-predicted nil check per probe.
 	ref *refSims
 
-	// samp, when non-nil, puts the profiler in a phase-sampled pass (see
-	// sampled.go): a signature-only profile pass or a plan-driven measure
-	// pass. Like ref, the exact hot path pays one nil check per event.
+	// role is the current pass's (or measure interval's) event role; samp,
+	// when non-nil, holds the phase-sampled pass's interval clock and plan
+	// (see sampled.go). The exact hot path pays one role test and one nil
+	// check per event.
+	role role
 	samp *sampState
 
 	// memShift is the data-side coalescing granularity (log2 of the L1 line
@@ -115,12 +134,11 @@ type Profiler struct {
 	lastData  uint64
 	lastFetch uint64
 
-	stride  int
-	brTick  int
-	memTick int
-
+	// methods indexes the records by name; records holds them in creation
+	// order, which every walk over all records (Report, the interval fold)
+	// uses so that no result depends on map iteration order.
 	methods map[string]*methodRecord
-	order   []string
+	records []*methodRecord
 	stack   []*methodRecord
 	current *methodRecord
 
@@ -134,6 +152,7 @@ type Profiler struct {
 
 // refSims bundles the reference simulators of the pre-optimization path.
 type refSims struct {
+	tour *uarch.RefTournament
 	mem  *uarch.RefHierarchy
 	l1i  *uarch.RefCache
 	itlb *uarch.RefCache
@@ -148,38 +167,23 @@ func NewWithOptions(opts Options) *Profiler {
 	if model.IssueWidth == 0 {
 		model = uarch.DefaultModel()
 	}
-	pred := opts.Predictor
-	if pred == nil {
-		if opts.Reference {
-			pred = uarch.NewRefTournament(14)
-		} else {
-			pred = uarch.NewTournament(14)
-		}
-	}
-	stride := opts.Stride
-	if stride < 1 {
-		stride = 1
-	}
 	p := &Profiler{
 		model:     model,
-		pred:      pred,
-		stride:    stride,
 		methods:   make(map[string]*methodRecord),
 		started:   time.Now(),
 		lastData:  ^uint64(0),
 		lastFetch: ^uint64(0),
 	}
-	if t, ok := pred.(*uarch.Tournament); ok {
-		p.tour = t
-	}
 	if opts.Reference {
 		p.ref = &refSims{
+			tour: uarch.NewRefTournament(14),
 			mem:  uarch.NewRefHierarchy(),
 			l1i:  uarch.NewRefCache(uarch.CacheConfig{Name: "L1I", SizeB: 32 << 10, Ways: 8, LineSize: 64}),
 			itlb: uarch.NewRefCache(uarch.CacheConfig{Name: "ITLB", SizeB: 128 * 4096, Ways: 4, LineSize: 4096}),
 		}
 		p.memShift = 6
 	} else {
+		p.tour = uarch.NewTournament(14)
 		p.mem = uarch.NewHierarchy()
 		p.l1i = uarch.NewCache(uarch.CacheConfig{Name: "L1I", SizeB: 32 << 10, Ways: 8, LineSize: 64})
 		p.itlb = uarch.NewCache(uarch.CacheConfig{Name: "ITLB", SizeB: 128 * 4096, Ways: 4, LineSize: 4096})
@@ -189,9 +193,13 @@ func NewWithOptions(opts Options) *Profiler {
 	return p
 }
 
-// Reference reports whether the profiler runs the retained pre-optimization
-// event path.
-func (p *Profiler) Reference() bool { return p.ref != nil }
+// observe routes a branch to the modeled (or reference) predictor.
+func (p *Profiler) observe(site uint64, taken bool) bool {
+	if p.ref != nil {
+		return p.ref.tour.Observe(site, taken)
+	}
+	return p.tour.Observe(site, taken)
+}
 
 // memAccess routes a data access through the modeled (or reference)
 // hierarchy.
@@ -232,23 +240,23 @@ func (p *Profiler) itlbAccess(addr uint64) bool {
 // retained insertion order because it sorts by (cycles, name) and skips
 // methods that observed no events.
 func (p *Profiler) Reset() {
-	p.pred.Reset()
 	if p.ref != nil {
+		p.ref.tour.Reset()
 		p.ref.mem.Reset()
 		p.ref.l1i.Reset()
 		p.ref.itlb.Reset()
 	} else {
+		p.tour.Reset()
 		p.mem.Reset()
 		p.l1i.Reset()
 		p.itlb.Reset()
 	}
-	p.brTick = 0
-	p.memTick = 0
 	p.lastData = ^uint64(0)
 	p.lastFetch = ^uint64(0)
 	// Reset leaves sampled mode: each sampled pass is re-entered explicitly
-	// on a Reset profiler via BeginSampleProfile/BeginSampleMeasure.
+	// on a Reset profiler via BeginSampleProfile/Warm/Measure.
 	p.samp = nil
+	p.role = roleProbe
 	// Keep and clear the records: name and codeBase are pure functions of
 	// the method name, so a recycled record is indistinguishable from a
 	// fresh one once its run state is zeroed.
@@ -277,7 +285,7 @@ func (p *Profiler) method(name string) *methodRecord {
 		codeSize: DefaultFootprint,
 	}
 	p.methods[name] = m
-	p.order = append(p.order, name)
+	p.records = append(p.records, m)
 	return m
 }
 
@@ -296,23 +304,17 @@ func (p *Profiler) Enter(name string) {
 	p.stack = append(p.stack, p.current)
 	m := p.method(name)
 	p.current = m
-	if s := p.samp; s != nil {
+	switch p.role {
+	case roleProbe:
+		// A call re-steers fetch to the method entry.
+		p.fetch(m, 1)
+	case roleSignature:
 		// An entry retires no ops (no interval tick), but it is the
 		// strongest phase signal, so it weighs extra in the signature.
-		if s.profiling {
-			s.cur[sigBucket(m.codeBase)] += enterSigWeight
-		} else if s.warming {
-			p.fetch(m, 1)
-		} else if s.live {
-			s.touch(m)
-			p.sampFetch(m, 1)
-		} else {
-			advanceFetch(m, 1)
-		}
-		return
+		p.samp.cur[sigBucket(m.codeBase)] += enterSigWeight
+	default:
+		advanceFetch(m, 1)
 	}
-	// A call re-steers fetch to the method entry.
-	p.fetch(m, 1)
 }
 
 // Leave pops the region stack. Unbalanced Leave calls panic: they indicate
@@ -333,7 +335,7 @@ func (p *Profiler) Do(name string, fn func()) {
 }
 
 // fetch advances the current method's instruction-fetch pointer by n ops and
-// touches the instruction cache/TLB for every 64-byte line crossed.
+// probes the instruction cache/TLB for every 64-byte line crossed.
 func (p *Profiler) fetch(m *methodRecord, n uint64) {
 	bytes := n * opBytes
 	// Walk at line granularity; bound the walk so a huge Ops batch in a
@@ -356,34 +358,45 @@ func (p *Profiler) fetch(m *methodRecord, n uint64) {
 			p.lastFetch = line
 		}
 		if !p.l1iAccess(addr) {
-			m.icMiss++
+			m.pending.icMiss++
 		}
 		if !p.itlbAccess(addr) {
-			m.itlbMiss++
+			m.pending.itlbMiss++
 		}
 	}
 	m.fetchOff = (start + bytes) % m.codeSize
+}
+
+// advanceFetch advances the fetch pointer without probing, so a later
+// probing interval resumes at the same code offset the exact path would be
+// at.
+func advanceFetch(m *methodRecord, n uint64) {
+	bytes := n * opBytes
+	if bytes > m.codeSize*2 {
+		bytes = m.codeSize * 2
+	}
+	m.fetchOff = (m.fetchOff + bytes) % m.codeSize
+}
+
+// retire is the front-end side of n ops retiring in m: fetch them under
+// the current role, then advance the interval clock.
+func (p *Profiler) retire(m *methodRecord, n uint64) {
+	switch p.role {
+	case roleProbe:
+		p.fetch(m, n)
+	case roleSkip:
+		advanceFetch(m, n)
+	}
+	if p.samp != nil {
+		p.sampAdvance(n)
+	}
 }
 
 // Ops retires n simple micro-ops in the current method.
 func (p *Profiler) Ops(n uint64) {
 	m := p.current
 	m.ops += n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				p.fetch(m, n)
-			} else if s.live {
-				s.touch(m)
-				p.sampFetch(m, n)
-			} else {
-				advanceFetch(m, n)
-			}
-		}
-		p.sampAdvance(n)
-		return
-	}
-	p.fetch(m, n)
+	p.retire(m, n)
 }
 
 // LongOps retires n long-latency micro-ops (divisions, square roots,
@@ -391,30 +404,7 @@ func (p *Profiler) Ops(n uint64) {
 func (p *Profiler) LongOps(n uint64) {
 	m := p.current
 	m.longOps += n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				p.fetch(m, n)
-			} else if s.live {
-				s.touch(m)
-				p.sampFetch(m, n)
-			} else {
-				advanceFetch(m, n)
-			}
-		}
-		p.sampAdvance(n)
-		return
-	}
-	p.fetch(m, n)
-}
-
-// observe routes a sampled branch to the predictor, devirtualized when the
-// default tournament is in use.
-func (p *Profiler) observe(site uint64, taken bool) bool {
-	if p.tour != nil {
-		return p.tour.Observe(site, taken)
-	}
-	return p.pred.Observe(site, taken)
+	p.retire(m, n)
 }
 
 // Branch records a dynamic conditional branch at the given site (any value
@@ -427,38 +417,16 @@ func (p *Profiler) Branch(site uint64, taken bool) {
 		m.taken++
 	}
 	m.ops++ // the branch itself retires
-	if s := p.samp; s != nil {
-		if s.profiling {
-			s.cur[sigBucket(m.codeBase+site*8)]++
-		} else if s.warming {
-			m.sBranches++
-			if !p.observe(m.codeBase+site*8, taken) {
-				m.sMispredicts++
-			}
-		} else if s.live {
-			s.touch(m)
-			if !p.observe(m.codeBase+site*8, taken) {
-				m.iMisp++
-			}
+	switch p.role {
+	case roleProbe:
+		if !p.observe(m.codeBase+site*8, taken) {
+			m.pending.mispredicts++
 		}
+	case roleSignature:
+		p.samp.cur[sigBucket(m.codeBase+site*8)]++
+	}
+	if p.samp != nil {
 		p.sampAdvance(1)
-		return
-	}
-	if p.stride == 1 {
-		// Exact simulation: every branch is sampled and brTick stays 0.
-		m.sBranches++
-		if !p.observe(m.codeBase+site*8, taken) {
-			m.sMispredicts++
-		}
-		return
-	}
-	p.brTick++
-	if p.brTick >= p.stride {
-		p.brTick = 0
-		m.sBranches++
-		if !p.observe(m.codeBase+site*8, taken) {
-			m.sMispredicts++
-		}
 	}
 }
 
@@ -479,24 +447,11 @@ func (p *Profiler) Load(addr uint64) {
 	m := p.current
 	m.loads++
 	m.ops++
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				m.sLoads++
-				p.classifyLoad(m, addr)
-			} else if s.live {
-				s.touch(m)
-				p.classifyLoadScratch(m, addr)
-			}
-		}
-		p.sampAdvance(1)
-		return
-	}
-	p.memTick++
-	if p.memTick >= p.stride {
-		p.memTick = 0
-		m.sLoads++
+	if p.role == roleProbe {
 		p.classifyLoad(m, addr)
+	}
+	if p.samp != nil {
+		p.sampAdvance(1)
 	}
 }
 
@@ -507,41 +462,33 @@ func (p *Profiler) Store(addr uint64) {
 	m := p.current
 	m.stores++
 	m.ops++
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				p.storeProbe(m, addr)
-			} else if s.live {
-				s.touch(m)
-				p.storeProbeScratch(m, addr)
-			}
-		}
-		p.sampAdvance(1)
-		return
-	}
-	p.memTick++
-	if p.memTick >= p.stride {
-		p.memTick = 0
+	if p.role == roleProbe {
 		p.storeProbe(m, addr)
+	}
+	if p.samp != nil {
+		p.sampAdvance(1)
 	}
 }
 
-// events converts a method record to scaled uarch events.
-func (m *methodRecord) events(stride uint64) uarch.Events {
+// events converts a method record to uarch events, adding the pending
+// probe outcomes at weight w.
+func (m *methodRecord) events(w uint64) uarch.Events {
+	c := m.folded
+	c.addScaled(&m.pending, w)
 	return uarch.Events{
 		Ops:         m.ops,
 		LongOps:     m.longOps,
 		Branches:    m.branches,
 		Taken:       m.taken,
-		Mispredicts: m.sMispredicts * stride,
+		Mispredicts: c.mispredicts,
 		Loads:       m.loads,
 		Stores:      m.stores,
-		L2Hits:      m.sL2 * stride,
-		LLCHits:     m.sLLC * stride,
-		MemHits:     m.sMem * stride,
-		TLBMisses:   m.sTLBMiss * stride,
-		ICMisses:    m.icMiss,
-		ITLBMisses:  m.itlbMiss,
+		L2Hits:      c.l2,
+		LLCHits:     c.llc,
+		MemHits:     c.mem,
+		TLBMisses:   c.tlbMiss,
+		ICMisses:    c.icMiss,
+		ITLBMisses:  c.itlbMiss,
 	}
 }
 
@@ -577,19 +524,19 @@ func (p *Profiler) Report() Report {
 	if len(p.stack) != 0 {
 		panic(fmt.Sprintf("perf: Report with %d unmatched Enter calls (current %q)", len(p.stack), p.current.name))
 	}
-	// A sampled measure pass ends here: fold the final (partial, always
-	// live) interval's scratch into the report counters.
-	if s := p.samp; s != nil && !s.profiling && !s.warming {
-		s.finishMeasure()
+	// Pending outcomes enter at the open interval's weight: 1 outside a
+	// measure pass, the plan's weight inside one (whose last interval is
+	// always live). Nothing is folded, so Report never changes the state.
+	w := uint64(1)
+	if p.samp != nil {
+		w = uint64(p.samp.weight)
 	}
-	stride := uint64(p.stride)
 	var total uarch.Events
 	var totalSlots uarch.Slots
 	rep := Report{Coverage: stats.Coverage{}, Methods: p.methodBuf[:0]}
 
-	for _, name := range p.order {
-		m := p.methods[name]
-		ev := m.events(stride)
+	for _, m := range p.records {
+		ev := m.events(w)
 		slots := p.model.Account(ev)
 		if slots.Total() == 0 {
 			continue
@@ -597,7 +544,7 @@ func (p *Profiler) Report() Report {
 		total.Add(ev)
 		totalSlots.Add(slots)
 		rep.Methods = append(rep.Methods, MethodProfile{
-			Name:   name,
+			Name:   m.name,
 			Events: ev,
 			Slots:  slots,
 			Cycles: p.model.Cycles(slots),

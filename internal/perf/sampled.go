@@ -36,9 +36,14 @@ import (
 //     state the exact path would have — its probe outcomes are
 //     bit-identical to the exact run's for that interval, and the only
 //     sampling error left is how well each medoid represents its cluster.
-//     Live probe outcomes accumulate in per-interval scratch counters and
-//     fold into the report counters multiplied by the interval's weight,
-//     extrapolating the skipped population.
+//     Live probe outcomes accumulate in the same pending counters exact
+//     mode uses; each live interval's boundary folds them into the report
+//     counters multiplied by the interval's weight, extrapolating the
+//     skipped population.
+//
+// Each pass chooses its event role once (see role in perf.go): the profile
+// pass counts signatures, the warm pass probes, and the measure pass
+// switches between probing and skipping only at interval boundaries.
 //
 // Warming policies without checkpoints were evaluated and rejected: state
 // carry-over alone under-fills the LLC (hit counts measured 72% low on a
@@ -48,7 +53,7 @@ import (
 //
 // Everything is deterministic: interval boundaries derive from exact op
 // counts, signatures from hashed static sites, clustering is seeded
-// deterministically, and the scratch fold walks an append-ordered slice —
+// deterministically, and the fold walks the creation-ordered records —
 // two sampled runs of the same workload are bit-identical (the harness
 // asserts it). perf cannot import internal/cluster (it would cycle through
 // report → core), so plan construction lives in internal/phase and the
@@ -176,13 +181,10 @@ const (
 )
 
 // sampState is the per-pass state of sampled mode; Profiler.samp is nil
-// outside it (the exact hot path pays one predictable nil check per event,
-// the same price the reference path already pays).
+// outside it.
 type sampState struct {
 	intervalOps uint64
 	mode        sampleMode
-	profiling   bool // mode == sampProfile, kept flat for the hot path
-	warming     bool // mode == sampWarm, likewise
 
 	// Stream position: seq is the current interval index, opsInInterval
 	// the retired ops inside it. Events commit to the interval current at
@@ -201,33 +203,21 @@ type sampState struct {
 
 	// Measure pass. Live intervals probe and count; dead intervals only
 	// keep the architectural counters and the fetch offsets advancing.
+	// weight is the open interval's extrapolation weight (1 in the other
+	// passes, whose pending counters are never folded).
 	plan    *SamplePlan
 	restore map[int]*simCheckpoint
-	live    bool
 	weight  uint32
-	epoch   uint32
-	touched []*methodRecord
-	done    bool
 }
 
-// Sampled reports whether the profiler is currently in a sampled pass.
-func (p *Profiler) Sampled() bool { return p.samp != nil }
-
 // sampleModeError returns why this profiler cannot enter sampled mode, or
-// nil. Sampling composes with neither stride sub-sampling (two extrapolation
-// layers would compound) nor the reference path (whose simulators have no
-// checkpoint support), and checkpointing requires the concrete default
-// tournament predictor.
+// nil. The reference simulators have no checkpoint support.
 func (p *Profiler) sampleModeError() error {
 	switch {
 	case p.samp != nil:
 		return fmt.Errorf("perf: already in a sampled pass")
 	case p.ref != nil:
 		return fmt.Errorf("perf: sampled mode is incompatible with the reference path")
-	case p.stride != 1:
-		return fmt.Errorf("perf: sampled mode requires stride 1 (got %d)", p.stride)
-	case p.tour == nil:
-		return fmt.Errorf("perf: sampled mode requires the default tournament predictor")
 	}
 	return nil
 }
@@ -243,7 +233,8 @@ func (p *Profiler) BeginSampleProfile(intervalOps uint64) error {
 	if intervalOps == 0 {
 		return fmt.Errorf("perf: sample interval must be >= 1 op")
 	}
-	p.samp = &sampState{intervalOps: intervalOps, mode: sampProfile, profiling: true}
+	p.samp = &sampState{intervalOps: intervalOps, mode: sampProfile, weight: 1}
+	p.role = roleSignature
 	return nil
 }
 
@@ -260,6 +251,7 @@ func (p *Profiler) FinishSampleProfile() ([]IntervalSignature, error) {
 		sigs = append(sigs, s.cur)
 	}
 	p.samp = nil
+	p.role = roleProbe
 	return sigs, nil
 }
 
@@ -278,7 +270,7 @@ func (p *Profiler) BeginSampleWarm(plan *SamplePlan) error {
 	s := &sampState{
 		intervalOps: plan.IntervalOps,
 		mode:        sampWarm,
-		warming:     true,
+		weight:      1,
 		ckptAt:      make(map[int]bool),
 		ckpts:       &SampleCheckpoints{intervalOps: plan.IntervalOps, byInterval: make(map[int]*simCheckpoint)},
 	}
@@ -286,6 +278,7 @@ func (p *Profiler) BeginSampleWarm(plan *SamplePlan) error {
 		s.ckptAt[i] = true
 	}
 	p.samp = s
+	p.role = roleProbe
 	return nil
 }
 
@@ -305,8 +298,8 @@ func (p *Profiler) FinishSampleWarm() (*SampleCheckpoints, error) {
 // from the warm pass's checkpoints at each dead→live transition. ckpts may
 // be nil only for a plan with no dead→live transitions (an all-live plan).
 // It must be called on a fresh or Reset profiler, before any events. The
-// measurement is finalized by Report, which folds the pending interval's
-// scratch.
+// measurement is read by Report, which adds the open interval's pending
+// outcomes at its weight.
 func (p *Profiler) BeginSampleMeasure(plan *SamplePlan, ckpts *SampleCheckpoints) error {
 	if err := p.sampleModeError(); err != nil {
 		return err
@@ -331,9 +324,8 @@ func (p *Profiler) BeginSampleMeasure(plan *SamplePlan, ckpts *SampleCheckpoints
 		}
 		restore[i] = ck
 	}
-	s := &sampState{intervalOps: plan.IntervalOps, mode: sampMeasure, plan: plan, restore: restore, epoch: 1}
-	s.live, s.weight = plan.liveAt(0)
-	p.samp = s
+	p.samp = &sampState{intervalOps: plan.IntervalOps, mode: sampMeasure, plan: plan, restore: restore}
+	p.enterInterval(0)
 	return nil
 }
 
@@ -361,19 +353,40 @@ func (p *Profiler) sampAdvance(n uint64) {
 }
 
 // sampBoundary handles one measure-pass interval transition: fold the
-// finished live interval's scratch at its weight, take the next interval's
-// phase, and on a dead→live edge restore the warm pass's snapshot so the
-// live interval measures from exactly the simulator state the exact path
-// would have. Between restore points state simply carries over, untouched.
+// finished live interval's pending outcomes at its weight, take the next
+// interval's role, and on a dead→live edge restore the warm pass's snapshot
+// so the live interval measures from exactly the simulator state the exact
+// path would have. Between restore points state simply carries over,
+// unchanged.
 func (p *Profiler) sampBoundary() {
 	s := p.samp
-	if s.live {
-		s.fold()
+	if p.role == roleProbe {
+		p.fold(uint64(s.weight))
 	}
 	s.seq++
-	s.live, s.weight = s.plan.liveAt(s.seq)
+	p.enterInterval(s.seq)
 	if ck, ok := s.restore[s.seq]; ok {
 		p.restoreSims(ck)
+	}
+}
+
+// enterInterval sets the role and weight of measure-pass interval i.
+func (p *Profiler) enterInterval(i int) {
+	live, w := p.samp.plan.liveAt(i)
+	p.samp.weight = w
+	p.role = roleSkip
+	if live {
+		p.role = roleProbe
+	}
+}
+
+// fold extrapolates a finished live interval: every method's pending
+// probe outcomes enter its folded counters multiplied by the interval
+// weight. Methods that saw no probe fold zeros.
+func (p *Profiler) fold(w uint64) {
+	for _, m := range p.records {
+		m.folded.addScaled(&m.pending, w)
+		m.pending = probeCounts{}
 	}
 }
 
@@ -397,117 +410,4 @@ func (p *Profiler) restoreSims(ck *simCheckpoint) {
 	p.tour.Restore(ck.tour)
 	p.lastData = ck.lastData
 	p.lastFetch = ck.lastFetch
-}
-
-// touch registers m as dirty in the current interval so fold visits it.
-func (s *sampState) touch(m *methodRecord) {
-	if m.mark != s.epoch {
-		m.mark = s.epoch
-		s.touched = append(s.touched, m)
-	}
-}
-
-// fold extrapolates the finished interval: every touched method's scratch
-// probe outcomes enter its report counters multiplied by the interval
-// weight. The touched slice is append-ordered — no map iteration — so the
-// fold is deterministic.
-func (s *sampState) fold() {
-	w := uint64(s.weight)
-	for _, m := range s.touched {
-		m.sMispredicts += m.iMisp * w
-		m.sL2 += m.iL2 * w
-		m.sLLC += m.iLLC * w
-		m.sMem += m.iMem * w
-		m.sTLBMiss += m.iTLB * w
-		m.icMiss += m.iIC * w
-		m.itlbMiss += m.iITLB * w
-		m.iMisp, m.iL2, m.iLLC, m.iMem = 0, 0, 0, 0
-		m.iTLB, m.iIC, m.iITLB = 0, 0, 0
-	}
-	s.touched = s.touched[:0]
-	s.epoch++
-}
-
-// finishMeasure folds the final (possibly partial) live interval. Report
-// calls it exactly once; the final interval is always live (the plan pins
-// the last interval's weight to 1), so no probe outcome is lost.
-func (s *sampState) finishMeasure() {
-	if s.done {
-		return
-	}
-	if s.live {
-		s.fold()
-	}
-	s.done = true
-}
-
-// sampFetch is fetch for live intervals: identical walk, memo, and probe
-// order, but misses land in interval scratch for weighted folding.
-func (p *Profiler) sampFetch(m *methodRecord, n uint64) {
-	bytes := n * opBytes
-	if bytes > m.codeSize*2 {
-		bytes = m.codeSize * 2
-	}
-	start := m.fetchOff
-	for off := uint64(0); off < bytes; off += 64 {
-		addr := m.codeBase + (start+off)%m.codeSize
-		line := addr >> 6
-		if line == p.lastFetch {
-			continue
-		}
-		p.lastFetch = line
-		if !p.l1i.Access(addr) {
-			m.iIC++
-		}
-		if !p.itlb.Access(addr) {
-			m.iITLB++
-		}
-	}
-	m.fetchOff = (start + bytes) % m.codeSize
-}
-
-// advanceFetch advances the fetch pointer through a dead interval without
-// probing, so a later live interval resumes at the same code offset the
-// exact path would be at.
-func advanceFetch(m *methodRecord, n uint64) {
-	bytes := n * opBytes
-	if bytes > m.codeSize*2 {
-		bytes = m.codeSize * 2
-	}
-	m.fetchOff = (m.fetchOff + bytes) % m.codeSize
-}
-
-// classifyLoadScratch is classifyLoad with outcomes routed to interval
-// scratch. Only live intervals reach it, and sampled mode never runs with
-// the reference simulators, so the memo needs no p.ref guard.
-func (p *Profiler) classifyLoadScratch(m *methodRecord, addr uint64) {
-	line := addr >> p.memShift
-	if line == p.lastData {
-		return
-	}
-	p.lastData = line
-	res, tlbMiss := p.mem.Access(addr)
-	if tlbMiss {
-		m.iTLB++
-	}
-	switch res {
-	case uarch.HitL2:
-		m.iL2++
-	case uarch.HitLLC:
-		m.iLLC++
-	case uarch.HitMemory:
-		m.iMem++
-	}
-}
-
-// storeProbeScratch is storeProbe with the TLB outcome routed to scratch.
-func (p *Profiler) storeProbeScratch(m *methodRecord, addr uint64) {
-	line := addr >> p.memShift
-	if line == p.lastData {
-		return
-	}
-	p.lastData = line
-	if _, tlbMiss := p.mem.Access(addr); tlbMiss {
-		m.iTLB++
-	}
 }

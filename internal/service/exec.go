@@ -105,9 +105,9 @@ func (s *Server) executeCell(ctx context.Context, c plannedCell, cfg report.RunC
 		return report.Measurement{}, 0, ctx.Err()
 	}
 	defer func() { <-s.localSem }()
-	opts := harness.Options{
-		Reps: cfg.Reps, Stride: cfg.Stride, Reference: cfg.Reference,
-		Sampled: cfg.Sampled, SampledInterval: cfg.SampledInterval, SampledPhases: cfg.SampledPhases,
+	opts, err := harness.OptionsFromConfig(cfg)
+	if err != nil {
+		return report.Measurement{}, 0, err
 	}
 	m, err := harness.RunWorkload(ctx, c.bench, c.w, opts)
 	if err != nil {
@@ -249,14 +249,7 @@ func (s *Server) handleCellExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts, err := harness.Options{
-		Reps:            req.Config.Reps,
-		Stride:          req.Config.Stride,
-		Reference:       req.Config.Reference,
-		Sampled:         req.Config.Sampled,
-		SampledInterval: req.Config.SampledInterval,
-		SampledPhases:   req.Config.SampledPhases,
-	}.Normalize()
+	opts, err := harness.OptionsFromConfig(req.Config)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

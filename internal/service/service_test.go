@@ -423,16 +423,10 @@ func TestCellKey(t *testing.T) {
 	seen := map[string]bool{k1: true}
 	c2 := base
 	c2.Reps = 4
-	c3 := base
-	c3.Stride = 2
-	c4 := base
-	c4.Reference = true
 	distinct := []string{
 		cellKey("991.other_r", "train", base),
 		cellKey("990.count_r", "refrate", base),
 		cellKey("990.count_r", "train", c2),
-		cellKey("990.count_r", "train", c3),
-		cellKey("990.count_r", "train", c4),
 	}
 	for i, v := range distinct {
 		if seen[v] {
@@ -447,6 +441,46 @@ func TestCellKey(t *testing.T) {
 	c5.IncludeTest = true
 	if cellKey("990.count_r", "train", c5) != k1 {
 		t.Error("include_test changed the cell key")
+	}
+}
+
+// TestConfigRejectsStrideAndReference: stride and reference stay in the
+// schema version 1 config, but every endpoint that takes a config answers
+// 400, naming the field, for any value other than the one every run
+// records (stride 0 or 1, reference false).
+func TestConfigRejectsStrideAndReference(t *testing.T) {
+	s := newTestServer(t, &countBench{name: "990.count_r"}, &genBench{name: "991.gen_r"})
+	bodies := map[string]func(cfg string) string{
+		"/v1/jobs": func(cfg string) string {
+			return `{"benchmarks": ["990.count_r"], "config": ` + cfg + `}`
+		},
+		"/v1/sweeps": func(cfg string) string {
+			return `{"benchmarks": ["991.gen_r"], "per_benchmark": 2, "k": 1, "config": ` + cfg + `}`
+		},
+		"/v1/cells:execute": func(cfg string) string {
+			return `{"benchmark": "990.count_r", "workload": "train", "config": ` + cfg + `}`
+		},
+	}
+	for path, body := range bodies {
+		t.Run(path, func(t *testing.T) {
+			for field, cfg := range map[string]string{
+				"config.stride":    `{"reps": 1, "stride": 2}`,
+				"config.reference": `{"reps": 1, "reference": true}`,
+			} {
+				rec, doc := doJSON(t, s.Handler(), "POST", path, body(cfg))
+				if rec.Code != http.StatusBadRequest {
+					t.Errorf("%s: status = %d, want 400\n%s", field, rec.Code, rec.Body.String())
+					continue
+				}
+				if msg, _ := doc["error"].(string); !strings.Contains(msg, field) {
+					t.Errorf("%s: error %q does not name the field", field, msg)
+				}
+			}
+			// The values every run records are accepted.
+			if rec, _ := doJSON(t, s.Handler(), "POST", path, body(`{"reps": 1, "stride": 1, "reference": false}`)); rec.Code >= 400 {
+				t.Errorf("stride 1, reference false: status = %d\n%s", rec.Code, rec.Body.String())
+			}
+		})
 	}
 }
 

@@ -42,7 +42,7 @@ type SweepRequest struct {
 	// the sweep holds at most Window unreported measurements, however many
 	// cells the plan has.
 	Window int `json:"window,omitempty"`
-	// Config is the measurement configuration (reps, stride, sampling) —
+	// Config is the measurement configuration (reps, sampling) —
 	// part of every cell's cache identity, exactly as in POST /v1/jobs.
 	Config report.RunConfig `json:"config"`
 }
@@ -134,18 +134,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts, err := harness.Options{
-		Reps:            req.Config.Reps,
-		Stride:          req.Config.Stride,
-		Reference:       req.Config.Reference,
-		Sampled:         req.Config.Sampled,
-		SampledInterval: req.Config.SampledInterval,
-		SampledPhases:   req.Config.SampledPhases,
-	}.Normalize()
+	opts, err := harness.OptionsFromConfig(req.Config)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// A sweep measures its own generated plan: include_test selects no
+	// cell, so the echoed config leaves it false.
+	opts.IncludeTest = false
 	cfg := opts.ReportConfig()
 	units, err := sweep.Plan(s.cfg.Suite, swcfg)
 	if err != nil {
