@@ -11,7 +11,9 @@ vet:
 # Determinism & harness-invariant static analysis (see DESIGN.md §14).
 # Exit 1 covers findings from both rule families AND stale //lint:allow
 # suppressions, so `make lint` is also the zero-stale-suppressions gate.
+# It first fails on any file gofmt would rewrite.
 lint:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: files need formatting:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/albertalint ./...
 
 # Same analysis as a SARIF 2.1.0 document (CI uploads it as an artifact).
@@ -40,7 +42,8 @@ FUZZERS = \
 	./internal/benchmarks/deepsjeng:FuzzLegalFilterMatchesFullCheck \
 	./internal/benchmarks/perlbench:FuzzExprDifferential \
 	./internal/benchmarks/perlbench:FuzzRegexCompiledDifferential \
-	./internal/benchmarks/xalan:FuzzMatchPatternDifferential
+	./internal/benchmarks/xalan:FuzzMatchPatternDifferential \
+	./internal/cluster:FuzzKMedoidsMatchesNaive
 
 fuzz-smoke:
 	@set -e; for f in $(FUZZERS); do \

@@ -49,14 +49,14 @@ const (
 
 	// Expressions (stack ops; branch-free because Perl's && and || are
 	// eager in this dialect — see eval.go parseOr/parseAnd).
-	vCONST     // push consts[a]
-	vSCALAR    // push scalars[a]
-	vINTERP    // push interpolated string interps[a]
-	vHASHGET   // key=pop: hash_ops events, push hashes[a][key]
-	vEXISTS    // key=pop: push boolVal(key in hashes[a]); no events
-	vMATCH     // s=pop: push boolVal(regexes[a].match(s))
-	vNOTMATCH  // s=pop: push boolVal(!regexes[a].match(s))
-	vADD       // binary numeric/string ops: r=pop, l=pop, push l OP r
+	vCONST    // push consts[a]
+	vSCALAR   // push scalars[a]
+	vINTERP   // push interpolated string interps[a]
+	vHASHGET  // key=pop: hash_ops events, push hashes[a][key]
+	vEXISTS   // key=pop: push boolVal(key in hashes[a]); no events
+	vMATCH    // s=pop: push boolVal(regexes[a].match(s))
+	vNOTMATCH // s=pop: push boolVal(!regexes[a].match(s))
+	vADD      // binary numeric/string ops: r=pop, l=pop, push l OP r
 	vSUB
 	vCONCAT
 	vMUL
@@ -76,7 +76,7 @@ const (
 	vAND // eager Perl &&: last operand if first truthy, else the first
 	vNOT
 	vNEG
-	vLENGTH    // builtins: b = evaluated arg count, extras discarded
+	vLENGTH // builtins: b = evaluated arg count, extras discarded
 	vUC
 	vLC
 	vINTB

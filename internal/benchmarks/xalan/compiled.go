@@ -103,11 +103,11 @@ const (
 
 // cinstr is one pre-decoded instruction.
 type cinstr struct {
-	op   xop
-	text string // xText text, xElement/xAttr name, xTextLit value, xLiteral name
-	val  cval   // xAttr, xValueOf
-	sel  csel   // xCount, xApplySel, xForEach
-	test ctest  // xIf
+	op    xop
+	text  string // xText text, xElement/xAttr name, xTextLit value, xLiteral name
+	val   cval   // xAttr, xValueOf
+	sel   csel   // xCount, xApplySel, xForEach
+	test  ctest  // xIf
 	attrs []Attr // xLiteral attribute copy
 	body  []cinstr
 }

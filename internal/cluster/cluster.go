@@ -309,17 +309,37 @@ func kMedoids(points [][]float64, k int, seed int64) (Clustering, error) {
 	if k < 1 || k > n {
 		return Clustering{}, fmt.Errorf("%w: k=%d for %d points", ErrCluster, k, n)
 	}
-	// Pairwise distances.
+	dist := pairwise(points)
+	medoids := seedMedoids(dist, k, seed)
+	swapDescent(dist, medoids)
+	sort.Ints(medoids)
+	assign, cost := assignAll(dist, medoids)
+	return Clustering{Medoids: medoids, Assign: assign, Cost: cost}, nil
+}
+
+// pairwise returns the distance matrix of points. Distance is exactly
+// symmetric (a−b and b−a square to the same float), so each pair is
+// computed once, on and below the diagonal, and mirrored.
+func pairwise(points [][]float64) [][]float64 {
+	n := len(points)
+	data := make([]float64, n*n)
 	dist := make([][]float64, n)
 	for i := range dist {
-		dist[i] = make([]float64, n)
-		for j := range dist[i] {
-			dist[i][j] = Distance(points[i], points[j])
+		dist[i] = data[i*n : (i+1)*n]
+		for j := 0; j <= i; j++ {
+			d := Distance(points[i], points[j])
+			dist[i][j], dist[j][i] = d, d
 		}
 	}
-	// First medoid: the 1-medoid of the whole set (minimum total
-	// distance) for seed 0; a seed-derived point otherwise. Either way
-	// the choice is a pure function of (points, seed).
+	return dist
+}
+
+// seedMedoids picks k initial medoids. The first is the 1-medoid of the
+// whole set (minimum total distance) for seed 0 and a seed-derived point
+// otherwise; either way the choice is a pure function of (points, seed).
+// The rest follow by greedy max-min seeding.
+func seedMedoids(dist [][]float64, k int, seed int64) []int {
+	n := len(dist)
 	best := 0
 	if seed == 0 {
 		bestSum := math.Inf(1)
@@ -342,7 +362,6 @@ func kMedoids(points [][]float64, k int, seed int64) (Clustering, error) {
 		best = int(z % uint64(n))
 	}
 	medoids := []int{best}
-	// Max-min seeding for the rest.
 	for len(medoids) < k {
 		far := -1
 		farDist := -1.0
@@ -359,38 +378,75 @@ func kMedoids(points [][]float64, k int, seed int64) (Clustering, error) {
 		}
 		medoids = append(medoids, far)
 	}
+	return medoids
+}
 
-	assign := make([]int, n)
-	assignAll := func() float64 {
-		total := 0.0
-		for i := 0; i < n; i++ {
-			bestSlot := 0
-			bestD := math.Inf(1)
-			for s, m := range medoids {
-				if dist[i][m] < bestD {
-					bestD = dist[i][m]
-					bestSlot = s
-				}
+// assignAll assigns every point to its nearest medoid slot (the first
+// such slot on a tie) and returns the assignment and its total distance.
+func assignAll(dist [][]float64, medoids []int) ([]int, float64) {
+	assign := make([]int, len(dist))
+	total := 0.0
+	for i := range dist {
+		bestSlot := 0
+		bestD := math.Inf(1)
+		for s, m := range medoids {
+			if dist[i][m] < bestD {
+				bestD = dist[i][m]
+				bestSlot = s
 			}
-			assign[i] = bestSlot
-			total += bestD
 		}
-		return total
+		assign[i] = bestSlot
+		total += bestD
 	}
-	cost := assignAll()
+	return assign, total
+}
 
-	// Swap descent: try replacing each medoid with each non-medoid.
+// swapDescent improves medoids in place by PAM-style swap descent: try
+// replacing each medoid with each non-medoid, keeping a swap that lowers
+// the total distance. The other slots do not change during one slot's
+// scan, so each point's nearest distance among them is computed once per
+// scan and a candidate costs Σ_i min(dist[cand][i], other[i]) — O(n)
+// instead of O(n·k) — summed in the same order as a full recomputation,
+// so every accept/reject decision is the same.
+//
+// A rejected candidate restores orig, the slot's medoid from before the
+// scan, even when an earlier candidate of the same scan was accepted: cost
+// then belongs to a medoid set the slice no longer holds, and the descent
+// barely moves the max-min seeding. The behaviour is kept on purpose —
+// fixing it changes every sampled plan, sweep representative and recorded
+// golden value at once.
+func swapDescent(dist [][]float64, medoids []int) {
+	n := len(dist)
+	_, cost := assignAll(dist, medoids)
+	other := make([]float64, n)
 	improved := true
 	for iter := 0; improved && iter < 100; iter++ {
 		improved = false
 		for slot := range medoids {
+			for i := range other {
+				best := math.Inf(1)
+				for s, m := range medoids {
+					if s != slot && dist[i][m] < best {
+						best = dist[i][m]
+					}
+				}
+				other[i] = best
+			}
 			orig := medoids[slot]
 			for cand := 0; cand < n; cand++ {
 				if isMedoid(medoids, cand) {
 					continue
 				}
+				c := 0.0
+				for i, d := range dist[cand] {
+					if d < other[i] {
+						c += d
+					} else {
+						c += other[i]
+					}
+				}
 				medoids[slot] = cand
-				if c := totalCost(dist, medoids); c+1e-12 < cost {
+				if c+1e-12 < cost {
 					cost = c
 					improved = true
 				} else {
@@ -399,10 +455,6 @@ func kMedoids(points [][]float64, k int, seed int64) (Clustering, error) {
 			}
 		}
 	}
-	cost = assignAll()
-	sort.Ints(medoids)
-	cost = assignAll()
-	return Clustering{Medoids: medoids, Assign: assign, Cost: cost}, nil
 }
 
 func isMedoid(medoids []int, i int) bool {
@@ -412,20 +464,6 @@ func isMedoid(medoids []int, i int) bool {
 		}
 	}
 	return false
-}
-
-func totalCost(dist [][]float64, medoids []int) float64 {
-	total := 0.0
-	for i := range dist {
-		best := math.Inf(1)
-		for _, m := range medoids {
-			if dist[i][m] < best {
-				best = dist[i][m]
-			}
-		}
-		total += best
-	}
-	return total
 }
 
 // FormatSelection renders a benchmark's reduction: the clusters with

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -133,6 +134,111 @@ func TestKMedoidsCostDecreasesWithK(t *testing.T) {
 		}
 		prev = cl.Cost
 	}
+}
+
+// naiveKMedoids is the oracle for kMedoids: the same seeding and final
+// assignment, with the full distance matrix and the original swap descent,
+// which recomputes the O(n·k) total cost for every candidate swap.
+func naiveKMedoids(points [][]float64, k int, seed int64) Clustering {
+	n := len(points)
+	dist := make([][]float64, n)
+	for i := range dist {
+		dist[i] = make([]float64, n)
+		for j := range dist[i] {
+			dist[i][j] = Distance(points[i], points[j])
+		}
+	}
+	medoids := seedMedoids(dist, k, seed)
+	_, cost := assignAll(dist, medoids)
+	improved := true
+	for iter := 0; improved && iter < 100; iter++ {
+		improved = false
+		for slot := range medoids {
+			orig := medoids[slot]
+			for cand := 0; cand < n; cand++ {
+				if isMedoid(medoids, cand) {
+					continue
+				}
+				medoids[slot] = cand
+				if c := totalCost(dist, medoids); c+1e-12 < cost {
+					cost = c
+					improved = true
+				} else {
+					medoids[slot] = orig
+				}
+			}
+		}
+	}
+	sort.Ints(medoids)
+	assign, cost := assignAll(dist, medoids)
+	return Clustering{Medoids: medoids, Assign: assign, Cost: cost}
+}
+
+func totalCost(dist [][]float64, medoids []int) float64 {
+	total := 0.0
+	for i := range dist {
+		best := math.Inf(1)
+		for _, m := range medoids {
+			if dist[i][m] < best {
+				best = dist[i][m]
+			}
+		}
+		total += best
+	}
+	return total
+}
+
+// fuzzPoints derives a deterministic point set from fuzz inputs: n points
+// of dims coordinates drawn from a pool of pool distinct points (so small
+// pools force duplicates), each coordinate quantized to levels+1 values.
+func fuzzPoints(rng uint64, n, dims, pool, levels int) [][]float64 {
+	next := func() uint64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return rng >> 11
+	}
+	base := make([][]float64, pool)
+	for i := range base {
+		base[i] = make([]float64, dims)
+		for d := range base[i] {
+			base[i][d] = float64(next()%uint64(levels+1)) / float64(levels+1)
+		}
+	}
+	points := make([][]float64, n)
+	for i := range points {
+		points[i] = base[next()%uint64(pool)]
+	}
+	return points
+}
+
+// FuzzKMedoidsMatchesNaive holds kMedoids' O(n)-per-candidate swap descent
+// to the naive oracle: the same medoids, assignment and cost, bit for bit,
+// for n <= 600 points, k <= 16, duplicate-heavy and distinct point sets,
+// with the canonical and seed-derived initializations.
+func FuzzKMedoidsMatchesNaive(f *testing.F) {
+	f.Add(uint64(1), uint16(19), uint8(0), uint8(3), uint16(600), uint8(255), int64(0))
+	f.Add(uint64(2), uint16(63), uint8(3), uint8(7), uint16(5), uint8(3), int64(0))
+	f.Add(uint64(3), uint16(127), uint8(15), uint8(1), uint16(600), uint8(1), int64(7))
+	f.Add(uint64(4), uint16(519), uint8(15), uint8(5), uint16(600), uint8(255), int64(0))
+	f.Add(uint64(5), uint16(255), uint8(8), uint8(63), uint16(40), uint8(15), int64(-3))
+	f.Add(uint64(6), uint16(2), uint8(15), uint8(2), uint16(1), uint8(0), int64(0))
+	f.Fuzz(func(t *testing.T, rng uint64, nRaw uint16, kRaw, dimRaw uint8, poolRaw uint16, levels uint8, seed int64) {
+		n := 1 + int(nRaw)%600
+		k := 1 + int(kRaw)%16
+		if k > n {
+			k = n
+		}
+		dims := 1 + int(dimRaw)%64
+		pool := 1 + int(poolRaw)%n
+		points := fuzzPoints(rng, n, dims, pool, int(levels))
+		got, err := kMedoids(points, k, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveKMedoids(points, k, seed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d k=%d dims=%d pool=%d seed=%d: fast swap diverged from the oracle:\ngot  medoids %v cost %v\nwant medoids %v cost %v",
+				n, k, dims, pool, seed, got.Medoids, got.Cost, want.Medoids, want.Cost)
+		}
+	})
 }
 
 func behaviourBlobs() []report.Measurement {

@@ -172,20 +172,20 @@ func TestGeneratedNameRoundTrip(t *testing.T) {
 
 func TestParseGeneratedNameRejects(t *testing.T) {
 	bad := []string{
-		"",            // empty
-		"refrate",     // inventory name
-		"alberta.1",   // inventory name
-		"gen.0",       // pre-contract form, no seed
-		"gen.s",       // no digits
-		"gen.s5",      // no index
-		"gen.s5.",     // empty index
-		"gen.s.3",     // empty seed
-		"gen.s01.2",   // alias: leading zero would not re-render
-		"gen.s5.03",   // alias in index
-		"gen.s5.-1",   // negative index
-		"gen.s5.3.1",  // seed "5.3" has a dot but fails ParseInt
-		"gen.s5.3 ",   // trailing junk
-		"Gen.s5.3",    // case matters
+		"",           // empty
+		"refrate",    // inventory name
+		"alberta.1",  // inventory name
+		"gen.0",      // pre-contract form, no seed
+		"gen.s",      // no digits
+		"gen.s5",     // no index
+		"gen.s5.",    // empty index
+		"gen.s.3",    // empty seed
+		"gen.s01.2",  // alias: leading zero would not re-render
+		"gen.s5.03",  // alias in index
+		"gen.s5.-1",  // negative index
+		"gen.s5.3.1", // seed "5.3" has a dot but fails ParseInt
+		"gen.s5.3 ",  // trailing junk
+		"Gen.s5.3",   // case matters
 	}
 	for _, name := range bad {
 		if _, _, ok := ParseGeneratedName(name); ok {

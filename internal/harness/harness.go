@@ -52,10 +52,12 @@ type Options struct {
 	// Sampled switches workload measurement to phase-sampled simulation:
 	// a profile pass slices the event stream into fixed-size instruction
 	// intervals and fingerprints each, k-medoids clustering picks
-	// representative intervals, a warm pass checkpoints simulator state at
-	// the plan's restore points, and the measure passes fully simulate only
-	// the representatives, extrapolating probe-derived counters by cluster
-	// weight. Architectural counters and checksums stay exact.
+	// representative intervals, and a through pass probes every interval
+	// but counts only the representatives, extrapolating probe-derived
+	// counters by cluster weight. At Reps >= 3 the through pass also
+	// checkpoints simulator state, and Reps-2 restored passes fully
+	// simulate only the representatives and must reproduce its Report.
+	// Architectural counters and checksums stay exact.
 	Sampled bool
 	// SampledInterval is the sampled-mode profiling interval in retired
 	// ops; Normalize defaults zero to perf.DefaultSampleInterval.

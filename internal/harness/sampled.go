@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"time"
 
 	"repro/internal/core"
@@ -12,25 +13,76 @@ import (
 )
 
 // runWorkloadSampled is the sampled-mode counterpart of runWorkload's
-// repetition loop. Options.Reps counts total executions, as in exact mode,
-// but they split into the sampled pipeline's roles: one profile pass
-// (interval signatures, no probes), one warm pass (exact probing, counters
-// discarded, simulator state checkpointed at the plan's restore points),
-// and max(1, Reps-2) measure passes that restore checkpoints at dead→live
-// edges and fully simulate only the plan's live intervals. WallSeconds is
-// the mean of the measure passes alone — the steady-state cost of one more
-// sampled measurement, which is the number the speedup claims are about —
+// repetition loop. A run makes max(2, Reps) executions: the profile pass
+// (interval signatures, no probes), the through pass, which probes every
+// interval and folds each at its plan weight (dead intervals at weight 0)
+// and so is the measurement, and Reps−2 restored measure passes, which
+// probe only the plan's live intervals from the through pass's
+// checkpoints. The through pass snapshots simulator state only when
+// restored passes follow. Each restored pass must reproduce the through
+// pass's Report bit for bit — a cross-check of checkpoint and restore —
 // and every pass's checksum is cross-checked, so the benchmark's
 // architectural execution is verified exact even though probe counters
-// extrapolate.
+// extrapolate. WallSeconds is the mean of the restored passes when there
+// are any — the steady-state cost of one more sampled measurement — and
+// the through pass's wall otherwise.
 func runWorkloadSampled(ctx context.Context, b core.Benchmark, w core.Workload, opts Options, p *perf.Profiler, pw core.PreparedWorkload) (report.Measurement, error) {
 	name := fmt.Sprintf("%s/%s", b.Name(), w.WorkloadName())
-	fail := func(stage string, err error) (report.Measurement, error) {
-		return report.Measurement{}, fmt.Errorf("harness: %s: %s: %w", name, stage, err)
-	}
-
-	if err := ctx.Err(); err != nil {
+	restored := opts.Reps - 2
+	s, err := runSampled(ctx, name, pw, p, opts, restored > 0)
+	if err != nil {
 		return report.Measurement{}, err
+	}
+	m := report.Measurement{
+		Benchmark:      b.Name(),
+		Workload:       w.WorkloadName(),
+		Kind:           w.WorkloadKind(),
+		Checksum:       s.checksum,
+		TopDown:        s.report.TopDown,
+		Coverage:       s.report.Coverage,
+		Cycles:         s.report.Cycles,
+		Sampled:        true,
+		ModeledSeconds: perf.ModeledSeconds(s.report.Cycles),
+		WallSeconds:    s.wall,
+	}
+	if restored > 0 {
+		m.WallSeconds = 0
+		for rep := 0; rep < restored; rep++ {
+			_, wall, err := s.restoredPass(ctx, name, pw, p, rep)
+			if err != nil {
+				return report.Measurement{}, err
+			}
+			m.WallSeconds += wall
+		}
+		m.WallSeconds /= float64(restored)
+	}
+	return m, nil
+}
+
+// sampledRun is the outcome of the sampled pipeline's shared front: the
+// plan, and the through pass's Report, which is the sampled measurement.
+type sampledRun struct {
+	plan *perf.SamplePlan
+	// report is the through pass's Report, Methods copied out of the
+	// profiler's recycled buffer.
+	report perf.Report
+	// ckpts holds the through pass's snapshots; nil unless asked for.
+	ckpts *perf.SampleCheckpoints
+	// checksum is the profile pass's; every later pass must match it.
+	checksum uint64
+	// wall is the through pass's execution time.
+	wall float64
+}
+
+// runSampled runs the profile pass, builds the plan and runs the through
+// pass on p, which must be freshly constructed or Reset. With snapshots
+// the through pass is a warm pass, so restoredPass can follow it.
+func runSampled(ctx context.Context, name string, pw core.PreparedWorkload, p *perf.Profiler, opts Options, snapshots bool) (*sampledRun, error) {
+	fail := func(stage string, err error) (*sampledRun, error) {
+		return nil, fmt.Errorf("harness: %s: %s: %w", name, stage, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if err := p.BeginSampleProfile(opts.SampledInterval); err != nil {
 		return fail("profile", err)
@@ -39,84 +91,91 @@ func runWorkloadSampled(ctx context.Context, b core.Benchmark, w core.Workload, 
 	if err != nil {
 		return fail("profile", err)
 	}
-	checksum := res.Checksum
+	s := &sampledRun{checksum: res.Checksum}
 	sigs, err := p.FinishSampleProfile()
 	if err != nil {
 		return fail("profile", err)
 	}
-	plan, err := phase.BuildPlan(sigs, phase.Config{
+	if s.plan, err = phase.BuildPlan(sigs, phase.Config{
 		IntervalOps: opts.SampledInterval,
 		Phases:      opts.SampledPhases,
-	})
-	if err != nil {
+	}); err != nil {
 		return fail("plan", err)
 	}
 
 	if err := ctx.Err(); err != nil {
-		return report.Measurement{}, err
+		return nil, err
 	}
 	p.Reset()
-	if err := p.BeginSampleWarm(plan); err != nil {
-		return fail("warm", err)
+	if snapshots {
+		err = p.BeginSampleWarm(s.plan)
+	} else {
+		err = p.BeginSampleMeasure(s.plan, nil)
 	}
-	if res, err = pw.Execute(p); err != nil {
-		return fail("warm", err)
-	}
-	if res.Checksum != checksum {
-		return fail("warm", fmt.Errorf("nondeterministic checksum across passes"))
-	}
-	ckpts, err := p.FinishSampleWarm()
 	if err != nil {
-		return fail("warm", err)
+		return fail("measure", err)
 	}
-
-	var m report.Measurement
-	measures := opts.Reps - 2
-	if measures < 1 {
-		measures = 1
+	start := time.Now()
+	if res, err = pw.Execute(p); err != nil {
+		return fail("measure", err)
 	}
-	for rep := 0; rep < measures; rep++ {
-		if err := ctx.Err(); err != nil {
-			return report.Measurement{}, err
-		}
-		p.Reset()
-		if err := p.BeginSampleMeasure(plan, ckpts); err != nil {
+	s.wall = time.Since(start).Seconds()
+	if res.Checksum != s.checksum {
+		return fail("measure", fmt.Errorf("nondeterministic checksum across passes"))
+	}
+	s.report = retain(p.Report())
+	if snapshots {
+		if s.ckpts, err = p.FinishSampleWarm(); err != nil {
 			return fail("measure", err)
 		}
-		start := time.Now()
-		if res, err = pw.Execute(p); err != nil {
-			return report.Measurement{}, fmt.Errorf("harness: %s: measure rep %d: %w", name, rep, err)
-		}
-		wall := time.Since(start).Seconds()
-		if res.Checksum != checksum {
-			return fail("measure", fmt.Errorf("nondeterministic checksum across passes"))
-		}
-		rpt := p.Report()
-		if rep == 0 {
-			m = report.Measurement{
-				Benchmark: b.Name(),
-				Workload:  w.WorkloadName(),
-				Kind:      w.WorkloadKind(),
-				Checksum:  checksum,
-				TopDown:   rpt.TopDown,
-				Coverage:  rpt.Coverage,
-				Cycles:    rpt.Cycles,
-				Sampled:   true,
-			}
-			m.ModeledSeconds = perf.ModeledSeconds(rpt.Cycles)
-		} else if m.Cycles != rpt.Cycles || m.TopDown != rpt.TopDown {
-			return fail("measure", fmt.Errorf("nondeterministic profile across repetitions"))
-		}
-		m.WallSeconds += wall
 	}
-	m.WallSeconds /= float64(measures)
-	return m, nil
+	return s, nil
+}
+
+// restoredPass runs one restored measure pass from the through pass's
+// checkpoints and returns its Report and wall time. The Report must equal
+// the through pass's bit for bit (wall time aside): a live interval
+// restored from a checkpoint starts from the through pass's exact state.
+func (s *sampledRun) restoredPass(ctx context.Context, name string, pw core.PreparedWorkload, p *perf.Profiler, rep int) (perf.Report, float64, error) {
+	fail := func(err error) (perf.Report, float64, error) {
+		return perf.Report{}, 0, fmt.Errorf("harness: %s: restored measure rep %d: %w", name, rep, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return perf.Report{}, 0, err
+	}
+	p.Reset()
+	if err := p.BeginSampleMeasure(s.plan, s.ckpts); err != nil {
+		return fail(err)
+	}
+	start := time.Now()
+	res, err := pw.Execute(p)
+	if err != nil {
+		return fail(err)
+	}
+	wall := time.Since(start).Seconds()
+	if res.Checksum != s.checksum {
+		return fail(fmt.Errorf("nondeterministic checksum across passes"))
+	}
+	rpt := retain(p.Report())
+	got, want := rpt, s.report
+	got.WallTime, want.WallTime = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		return fail(fmt.Errorf("report differs from the through pass's (cycles %d, want %d)", rpt.Cycles, s.report.Cycles))
+	}
+	return rpt, wall, nil
+}
+
+// retain copies a Report's Methods out of the profiler's recycled buffer,
+// so the Report survives the profiler's next Report or Reset.
+func retain(r perf.Report) perf.Report {
+	r.Methods = append([]perf.MethodProfile(nil), r.Methods...)
+	return r
 }
 
 // SampledComparison is the paired outcome of measuring one workload both
 // exactly and phase-sampled: the two Reports, their per-counter error, the
 // plan the sampled run used, and single-pass wall times (one exact
-// execution vs one sampled measure pass — the steady-state costs).
+// execution vs one restored measure pass — the steady-state costs).
 type SampledComparison struct {
 	Exact       perf.Report
 	Sampled     perf.Report
@@ -129,7 +188,10 @@ type SampledComparison struct {
 // SampledDiff measures b/w exactly and phase-sampled on the same prepared
 // input and returns both sides with their per-counter error. It is the
 // engine of the `make diff-sampled` validator and albertabench's sampled
-// rows. Options follow Normalize's sampled rules (Sampled is implied).
+// rows. The sampled side runs the whole pipeline, warm pass included, and
+// one restored measure pass, whose Report must equal the warm pass's and
+// whose wall time is SampledWall. Options follow Normalize's sampled rules
+// (Sampled is implied).
 func SampledDiff(ctx context.Context, b core.Benchmark, w core.Workload, opts Options) (*SampledComparison, error) {
 	opts.Sampled = true
 	opts, err := opts.Normalize()
@@ -148,64 +210,20 @@ func SampledDiff(ctx context.Context, b core.Benchmark, w core.Workload, opts Op
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: exact: %w", name, err)
 	}
-	c := &SampledComparison{ExactWall: time.Since(start).Seconds(), Exact: p.Report()}
-	checksum := res.Checksum
+	c := &SampledComparison{ExactWall: time.Since(start).Seconds(), Exact: retain(p.Report())}
 
 	p.Reset()
-	if err := p.BeginSampleProfile(opts.SampledInterval); err != nil {
-		return nil, fmt.Errorf("harness: %s: profile: %w", name, err)
+	s, err := runSampled(ctx, name, pw, p, opts, true)
+	if err != nil {
+		return nil, err
 	}
-	if res, err = pw.Execute(p); err != nil {
-		return nil, fmt.Errorf("harness: %s: profile: %w", name, err)
-	}
-	if res.Checksum != checksum {
+	if s.checksum != res.Checksum {
 		return nil, fmt.Errorf("harness: %s: profile: nondeterministic checksum across passes", name)
 	}
-	sigs, err := p.FinishSampleProfile()
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: profile: %w", name, err)
-	}
-	if c.Plan, err = phase.BuildPlan(sigs, phase.Config{
-		IntervalOps: opts.SampledInterval,
-		Phases:      opts.SampledPhases,
-	}); err != nil {
-		return nil, fmt.Errorf("harness: %s: plan: %w", name, err)
-	}
-
-	if err := ctx.Err(); err != nil {
+	c.Plan = s.plan
+	if c.Sampled, c.SampledWall, err = s.restoredPass(ctx, name, pw, p, 0); err != nil {
 		return nil, err
 	}
-	p.Reset()
-	if err := p.BeginSampleWarm(c.Plan); err != nil {
-		return nil, fmt.Errorf("harness: %s: warm: %w", name, err)
-	}
-	if res, err = pw.Execute(p); err != nil {
-		return nil, fmt.Errorf("harness: %s: warm: %w", name, err)
-	}
-	if res.Checksum != checksum {
-		return nil, fmt.Errorf("harness: %s: warm: nondeterministic checksum across passes", name)
-	}
-	ckpts, err := p.FinishSampleWarm()
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: warm: %w", name, err)
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p.Reset()
-	if err := p.BeginSampleMeasure(c.Plan, ckpts); err != nil {
-		return nil, fmt.Errorf("harness: %s: measure: %w", name, err)
-	}
-	start = time.Now()
-	if res, err = pw.Execute(p); err != nil {
-		return nil, fmt.Errorf("harness: %s: measure: %w", name, err)
-	}
-	c.SampledWall = time.Since(start).Seconds()
-	if res.Checksum != checksum {
-		return nil, fmt.Errorf("harness: %s: measure: nondeterministic checksum across passes", name)
-	}
-	c.Sampled = p.Report()
 	c.Diff = perf.ReportError(c.Exact, c.Sampled)
 	return c, nil
 }

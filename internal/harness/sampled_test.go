@@ -75,7 +75,7 @@ func TestSampledWithinTolerance(t *testing.T) {
 }
 
 // TestSampledRunsBitIdentical: two complete sampled harness measurements of
-// the same cell — profile, plan, warm, measure, each from scratch — must
+// the same cell — profile, plan, through pass, each from scratch — must
 // agree on every Measurement field except WallSeconds. This pins the whole
 // pipeline's determinism at the harness level: signatures, clustering,
 // checkpoints and extrapolated folds.
@@ -115,6 +115,49 @@ func TestSampledRunsBitIdentical(t *testing.T) {
 	m1.WallSeconds, m2.WallSeconds = 0, 0
 	if !reflect.DeepEqual(m1, m2) {
 		t.Fatalf("two sampled runs diverged:\nfirst  %+v\nsecond %+v", m1, m2)
+	}
+}
+
+// TestSampledRepsAgree: a Reps 1 sampled run reports from its through pass
+// alone, a Reps 4 run adds a warm pass and two restored measure passes that
+// must reproduce it. Both must yield the same Measurement apart from
+// WallSeconds, on the pinned benchmarks' clustered train cells and
+// unclustered test cells.
+func TestSampledRepsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sampled reps comparison skipped in -short mode")
+	}
+	suite, err := benchmarks.Suite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, name := range pinnedBenchmarks {
+		b, ok := suite.Lookup(name)
+		if !ok {
+			t.Fatalf("benchmark %s not in suite", name)
+		}
+		ws, err := b.Workloads()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range ws {
+			if k := w.WorkloadKind(); k != core.KindTest && k != core.KindTrain {
+				continue
+			}
+			one, err := RunWorkload(ctx, b, w, Options{Reps: 1, Sampled: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			four, err := RunWorkload(ctx, b, w, Options{Reps: 4, Sampled: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			one.WallSeconds, four.WallSeconds = 0, 0
+			if !reflect.DeepEqual(one, four) {
+				t.Errorf("%s/%s: Reps 1 and Reps 4 diverged:\nreps 1 %+v\nreps 4 %+v", name, w.WorkloadName(), one, four)
+			}
+		}
 	}
 }
 

@@ -76,8 +76,8 @@ type methodRecord struct {
 	loads, stores   uint64
 
 	// pending collects probe outcomes: those of the whole pass in exact
-	// mode and the warm pass, those of the open live interval in a measure
-	// pass. folded holds a measure pass's finished intervals, each already
+	// mode, those of the open interval in a measure pass. folded holds a
+	// measure pass's finished intervals, each already
 	// multiplied by its weight (see sampled.go). A report's probe counters
 	// are folded + pending × the open interval's weight.
 	pending, folded probeCounts
@@ -89,13 +89,14 @@ type methodRecord struct {
 type role uint8
 
 const (
-	// roleProbe routes events through the simulators: exact mode, the
-	// warm pass and live measure intervals.
+	// roleProbe routes events through the simulators: exact mode, every
+	// interval of a through or warm pass, and live intervals of a
+	// restored pass.
 	roleProbe role = iota
 	// roleSignature counts interval signatures only: the profile pass.
 	roleSignature
 	// roleSkip probes nothing and only advances fetch offsets: dead
-	// measure intervals.
+	// intervals of a restored pass.
 	roleSkip
 )
 

@@ -23,27 +23,38 @@ import (
 //     weight 1 — the first captures the cold-start transient exactly, the
 //     last the tail — and each cluster's earliest interval is pinned live
 //     so compulsory misses count exactly once.
-//  3. Warm pass (BeginSampleWarm): one full-probe replay that counts
-//     nothing but snapshots complete simulator state — caches, TLBs,
-//     predictor, coalescing memos — at every boundary where a live
-//     interval follows a dead one. It runs once per workload, at exact
-//     cost, and its checkpoints are reused by every measure repetition.
-//  4. Measure pass (BeginSampleMeasure): the same event stream replays;
-//     architectural counters (ops, branches, loads, stores, taken) count
-//     exactly everywhere, but simulator probes run only inside live
-//     (weight > 0) intervals. Each dead→live transition first restores the
-//     warm pass's checkpoint, so a live interval measures from exactly the
-//     state the exact path would have — its probe outcomes are
-//     bit-identical to the exact run's for that interval, and the only
-//     sampling error left is how well each medoid represents its cluster.
-//     Live probe outcomes accumulate in the same pending counters exact
-//     mode uses; each live interval's boundary folds them into the report
-//     counters multiplied by the interval's weight, extrapolating the
-//     skipped population.
+//  3. Through pass (BeginSampleMeasure with no checkpoints): the event
+//     stream replays with every interval probed, exactly as an unsampled
+//     run would, but each interval's probe outcomes are folded into the
+//     report counters multiplied by the interval's plan weight — weight 0
+//     for a dead interval, which discards them. Architectural counters
+//     (ops, branches, loads, stores, taken) count exactly everywhere. A
+//     live interval measures from exactly the state the exact path would
+//     have, so its probe outcomes are bit-identical to the exact run's for
+//     that interval, and the only sampling error left is how well each
+//     medoid represents its cluster. The warm pass (BeginSampleWarm) is the
+//     same pass plus a snapshot of complete simulator state — caches,
+//     TLBs, predictor, coalescing memos — at every boundary where a live
+//     interval follows a dead one, so its Report is the sampled Report too.
+//  4. Restored measure pass (BeginSampleMeasure with the warm pass's
+//     checkpoints): simulator probes run only inside live (weight > 0)
+//     intervals; dead intervals keep only the architectural counters and
+//     fetch offsets advancing. Each dead→live transition restores the warm
+//     pass's checkpoint, so every live interval starts from the state the
+//     through pass had there and its probe outcomes are bit-identical to
+//     the through pass's: the restored pass reproduces the through pass's
+//     Report at a fraction of the probe cost, and the harness checks that
+//     it does.
+//
+// Live probe outcomes accumulate in the same pending counters exact mode
+// uses; each interval's boundary folds them into the report counters
+// multiplied by the interval's weight, extrapolating the skipped
+// population.
 //
 // Each pass chooses its event role once (see role in perf.go): the profile
-// pass counts signatures, the warm pass probes, and the measure pass
-// switches between probing and skipping only at interval boundaries.
+// pass counts signatures, the through and warm passes probe, and the
+// restored pass switches between probing and skipping only at interval
+// boundaries.
 //
 // Warming policies without checkpoints were evaluated and rejected: state
 // carry-over alone under-fills the LLC (hit counts measured 72% low on a
@@ -164,19 +175,19 @@ type simCheckpoint struct {
 }
 
 // SampleCheckpoints carries the warm pass's boundary snapshots to the
-// measure passes. It is opaque outside perf; the harness only moves it
-// from FinishSampleWarm to BeginSampleMeasure.
+// restored measure passes. It is opaque outside perf; the harness only
+// moves it from FinishSampleWarm to BeginSampleMeasure.
 type SampleCheckpoints struct {
 	intervalOps uint64
 	byInterval  map[int]*simCheckpoint
 }
 
-// sampleMode distinguishes the three sampled passes.
+// sampleMode distinguishes the profile pass from the measuring passes
+// (through, warm and restored), which share one interval clock.
 type sampleMode uint8
 
 const (
 	sampProfile sampleMode = iota
-	sampWarm
 	sampMeasure
 )
 
@@ -196,18 +207,18 @@ type sampState struct {
 	sigs []IntervalSignature
 	cur  IntervalSignature
 
-	// Warm pass: checkpoints accumulates boundary snapshots at ckptAt
-	// intervals (the plan's restore points).
-	ckptAt map[int]bool
-	ckpts  *SampleCheckpoints
-
-	// Measure pass. Live intervals probe and count; dead intervals only
-	// keep the architectural counters and the fetch offsets advancing.
-	// weight is the open interval's extrapolation weight (1 in the other
-	// passes, whose pending counters are never folded).
+	// Measuring passes. weight is the open interval's extrapolation weight
+	// (1 in the profile pass, whose pending counters are never folded).
+	// restore is nil in a through or warm pass, which probes every
+	// interval; in a restored pass it maps each dead→live edge to its
+	// checkpoint, and dead intervals only keep the architectural counters
+	// and the fetch offsets advancing. The warm pass accumulates snapshots
+	// into ckpts at the ckptAt intervals (the plan's restore points).
 	plan    *SamplePlan
 	restore map[int]*simCheckpoint
 	weight  uint32
+	ckptAt  map[int]bool
+	ckpts   *SampleCheckpoints
 }
 
 // sampleModeError returns why this profiler cannot enter sampled mode, or
@@ -255,52 +266,69 @@ func (p *Profiler) FinishSampleProfile() ([]IntervalSignature, error) {
 	return sigs, nil
 }
 
-// BeginSampleWarm starts the checkpoint-collection pass for plan. The pass
-// probes every simulator exactly as an unsampled run would — its counters
-// are complete but are conventionally discarded by the Reset before the
-// measure pass — and snapshots simulator state at each of the plan's
-// restore points. It must be called on a fresh or Reset profiler.
+// BeginSampleWarm starts a through pass for plan (see BeginSampleMeasure)
+// that also snapshots simulator state at each of the plan's restore
+// points, for later restored measure passes. Its Report is the sampled
+// measurement. It must be called on a fresh or Reset profiler.
 func (p *Profiler) BeginSampleWarm(plan *SamplePlan) error {
-	if err := p.sampleModeError(); err != nil {
+	if err := p.beginMeasure(plan, nil); err != nil {
 		return err
 	}
-	if plan == nil || plan.IntervalOps == 0 {
-		return fmt.Errorf("perf: warm pass requires a plan with a nonzero interval")
-	}
-	s := &sampState{
-		intervalOps: plan.IntervalOps,
-		mode:        sampWarm,
-		weight:      1,
-		ckptAt:      make(map[int]bool),
-		ckpts:       &SampleCheckpoints{intervalOps: plan.IntervalOps, byInterval: make(map[int]*simCheckpoint)},
-	}
+	s := p.samp
+	s.ckptAt = make(map[int]bool)
+	s.ckpts = &SampleCheckpoints{intervalOps: plan.IntervalOps, byInterval: make(map[int]*simCheckpoint)}
 	for _, i := range plan.restorePoints() {
 		s.ckptAt[i] = true
 	}
-	p.samp = s
-	p.role = roleProbe
 	return nil
 }
 
-// FinishSampleWarm ends a warm pass and returns its checkpoints. The
-// profiler leaves sampled mode; Reset it before the measure pass.
+// FinishSampleWarm ends a warm pass and returns its checkpoints. The open
+// interval is folded at its weight first, so a Report read afterwards is
+// still the pass's sampled measurement. The profiler leaves sampled mode;
+// Reset it before the next pass.
 func (p *Profiler) FinishSampleWarm() (*SampleCheckpoints, error) {
 	s := p.samp
-	if s == nil || s.mode != sampWarm {
+	if s == nil || s.ckpts == nil {
 		return nil, fmt.Errorf("perf: FinishSampleWarm without BeginSampleWarm")
 	}
-	ckpts := s.ckpts
+	p.fold(uint64(s.weight))
 	p.samp = nil
-	return ckpts, nil
+	p.role = roleProbe
+	return s.ckpts, nil
 }
 
-// BeginSampleMeasure starts a measure pass following plan, restoring state
-// from the warm pass's checkpoints at each dead→live transition. ckpts may
-// be nil only for a plan with no dead→live transitions (an all-live plan).
-// It must be called on a fresh or Reset profiler, before any events. The
-// measurement is read by Report, which adds the open interval's pending
-// outcomes at its weight.
+// BeginSampleMeasure starts a measure pass following plan. With ckpts nil
+// it is a through pass: every interval is probed from the state the
+// previous one left, exactly as in an unsampled run, and each interval's
+// probe outcomes are folded at its weight (a dead interval's at weight 0).
+// With the warm pass's checkpoints it is a restored pass: only live
+// intervals are probed, and each dead→live transition first restores the
+// warm pass's snapshot, so the restored pass reports exactly what the
+// through pass does. It must be called on a fresh or Reset profiler,
+// before any events. The measurement is read by Report, which adds the
+// open interval's pending outcomes at its weight.
 func (p *Profiler) BeginSampleMeasure(plan *SamplePlan, ckpts *SampleCheckpoints) error {
+	var restore map[int]*simCheckpoint
+	if ckpts != nil && plan != nil {
+		if ckpts.intervalOps != plan.IntervalOps {
+			return fmt.Errorf("perf: checkpoints were taken at interval %d ops, plan uses %d", ckpts.intervalOps, plan.IntervalOps)
+		}
+		restore = make(map[int]*simCheckpoint)
+		for _, i := range plan.restorePoints() {
+			ck, ok := ckpts.byInterval[i]
+			if !ok {
+				return fmt.Errorf("perf: warm pass has no checkpoint for interval %d", i)
+			}
+			restore[i] = ck
+		}
+	}
+	return p.beginMeasure(plan, restore)
+}
+
+// beginMeasure validates plan and enters a measuring pass; restore is nil
+// for a through or warm pass.
+func (p *Profiler) beginMeasure(plan *SamplePlan, restore map[int]*simCheckpoint) error {
 	if err := p.sampleModeError(); err != nil {
 		return err
 	}
@@ -309,20 +337,6 @@ func (p *Profiler) BeginSampleMeasure(plan *SamplePlan, ckpts *SampleCheckpoints
 	}
 	if len(plan.Weights) > 0 && plan.Weights[0] == 0 {
 		return fmt.Errorf("perf: plan skips interval 0, which must be simulated (it carries the cold-start transient)")
-	}
-	restore := make(map[int]*simCheckpoint)
-	for _, i := range plan.restorePoints() {
-		if ckpts == nil {
-			return fmt.Errorf("perf: plan restores at interval %d but no warm-pass checkpoints were supplied", i)
-		}
-		if ckpts.intervalOps != plan.IntervalOps {
-			return fmt.Errorf("perf: checkpoints were taken at interval %d ops, plan uses %d", ckpts.intervalOps, plan.IntervalOps)
-		}
-		ck, ok := ckpts.byInterval[i]
-		if !ok {
-			return fmt.Errorf("perf: warm pass has no checkpoint for interval %d", i)
-		}
-		restore[i] = ck
 	}
 	p.samp = &sampState{intervalOps: plan.IntervalOps, mode: sampMeasure, plan: plan, restore: restore}
 	p.enterInterval(0)
@@ -341,23 +355,19 @@ func (p *Profiler) sampAdvance(n uint64) {
 			s.sigs = append(s.sigs, s.cur)
 			s.cur = IntervalSignature{}
 			s.seq++
-		case sampWarm:
-			s.seq++
-			if s.ckptAt[s.seq] {
-				s.ckpts.byInterval[s.seq] = p.checkpointSims()
-			}
 		case sampMeasure:
 			p.sampBoundary()
 		}
 	}
 }
 
-// sampBoundary handles one measure-pass interval transition: fold the
-// finished live interval's pending outcomes at its weight, take the next
-// interval's role, and on a dead→live edge restore the warm pass's snapshot
-// so the live interval measures from exactly the simulator state the exact
-// path would have. Between restore points state simply carries over,
-// unchanged.
+// sampBoundary handles one measuring-pass interval transition: fold the
+// finished interval's pending outcomes at its weight, take the next
+// interval's role, and on a restored pass's dead→live edge restore the
+// warm pass's snapshot, so the live interval measures from exactly the
+// simulator state the through pass had there. Between restore points state
+// simply carries over, unchanged. A warm pass snapshots that state at each
+// restore point.
 func (p *Profiler) sampBoundary() {
 	s := p.samp
 	if p.role == roleProbe {
@@ -368,21 +378,27 @@ func (p *Profiler) sampBoundary() {
 	if ck, ok := s.restore[s.seq]; ok {
 		p.restoreSims(ck)
 	}
+	if s.ckptAt[s.seq] {
+		s.ckpts.byInterval[s.seq] = p.checkpointSims()
+	}
 }
 
-// enterInterval sets the role and weight of measure-pass interval i.
+// enterInterval sets the role and weight of measuring-pass interval i: a
+// through or warm pass probes every interval, a restored pass only the
+// live ones.
 func (p *Profiler) enterInterval(i int) {
 	live, w := p.samp.plan.liveAt(i)
 	p.samp.weight = w
 	p.role = roleSkip
-	if live {
+	if live || p.samp.restore == nil {
 		p.role = roleProbe
 	}
 }
 
-// fold extrapolates a finished live interval: every method's pending
-// probe outcomes enter its folded counters multiplied by the interval
-// weight. Methods that saw no probe fold zeros.
+// fold extrapolates a finished interval: every method's pending probe
+// outcomes enter its folded counters multiplied by the interval weight,
+// so a dead interval probed by a through pass folds at weight 0 and its
+// outcomes are discarded. Methods that saw no probe fold zeros.
 func (p *Profiler) fold(w uint64) {
 	for _, m := range p.records {
 		m.folded.addScaled(&m.pending, w)

@@ -192,6 +192,72 @@ func TestSampledDeterministic(t *testing.T) {
 	}
 }
 
+// TestThroughMeasureMatchesRestored pins the pass equivalence the sampled
+// pipeline rests on: on a plan with dead→live edges, a through pass (every
+// interval probed, dead ones folded at weight 0), the warm pass (the same
+// pass plus snapshots) and a restored measure pass (dead intervals
+// skipped, checkpoints restored) report bit-identically.
+func TestThroughMeasureMatchesRestored(t *testing.T) {
+	p := perf.New()
+	const interval = 8 << 10
+	if err := p.BeginSampleProfile(interval); err != nil {
+		t.Fatal(err)
+	}
+	driveSynthetic(p)
+	sigs, err := p.FinishSampleProfile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := phase.BuildPlan(sigs, phase.Config{IntervalOps: interval, Phases: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := 0
+	for i := 1; i < len(plan.Weights); i++ {
+		if plan.Weights[i] > 0 && plan.Weights[i-1] == 0 {
+			edges++
+		}
+	}
+	if edges == 0 {
+		t.Fatal("plan has no dead→live edge; the restored pass would restore nothing")
+	}
+
+	p.Reset()
+	if err := p.BeginSampleMeasure(plan, nil); err != nil {
+		t.Fatal(err)
+	}
+	driveSynthetic(p)
+	through := snapshot(p.Report())
+
+	p.Reset()
+	if err := p.BeginSampleWarm(plan); err != nil {
+		t.Fatal(err)
+	}
+	driveSynthetic(p)
+	warm := snapshot(p.Report())
+	ckpts, err := p.FinishSampleWarm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := snapshot(p.Report())
+
+	p.Reset()
+	if err := p.BeginSampleMeasure(plan, ckpts); err != nil {
+		t.Fatal(err)
+	}
+	driveSynthetic(p)
+	restored := snapshot(p.Report())
+
+	for _, c := range []struct {
+		name string
+		r    perf.Report
+	}{{"warm", warm}, {"warm after FinishSampleWarm", finished}, {"restored", restored}} {
+		if !reflect.DeepEqual(through, c.r) {
+			t.Errorf("%s report diverged from the through pass:\nthrough %+v\n%s %+v", c.name, through.Total, c.name, c.r.Total)
+		}
+	}
+}
+
 // TestSampledProfilePassProbesNothing: the signature pass must leave every
 // simulator-derived counter at zero — it is the cheap pass.
 func TestSampledProfilePassProbesNothing(t *testing.T) {
@@ -230,10 +296,13 @@ func TestSampledModeGuards(t *testing.T) {
 	if err := p.BeginSampleMeasure(bad, nil); err == nil {
 		t.Fatal("a plan skipping interval 0 must be rejected")
 	}
-	gap := &perf.SamplePlan{IntervalOps: 1 << 10, Weights: []uint32{1, 0, 1}}
-	if err := p.BeginSampleMeasure(gap, nil); err == nil {
-		t.Fatal("a plan with a dead→live edge must demand warm-pass checkpoints")
+	if err := p.BeginSampleMeasure(&perf.SamplePlan{IntervalOps: 1 << 10, Weights: []uint32{1, 0, 1}}, nil); err != nil {
+		t.Fatalf("a through pass needs no checkpoints: %v", err)
 	}
+	if _, err := p.FinishSampleWarm(); err == nil {
+		t.Fatal("finish warm after a through pass must be rejected")
+	}
+	p = perf.New()
 	if err := p.BeginSampleProfile(0); err == nil {
 		t.Fatal("zero interval must be rejected")
 	}

@@ -146,3 +146,40 @@ func TestBuildPlanRejectsBadConfig(t *testing.T) {
 		t.Fatal("negative min intervals must be rejected")
 	}
 }
+
+// planSink keeps BuildPlan's result live so the compiler cannot drop the
+// benchmarked call.
+var planSink *perf.SamplePlan
+
+// BenchmarkBuildPlan times plan construction at the size the suite's long
+// streams coarsen to: 510 intervals clustered into k=16 phases. The
+// signatures are deterministic: eight phase shapes in runs of 5–36
+// intervals, each bucket count jittered by a fixed LCG.
+func BenchmarkBuildPlan(b *testing.B) {
+	const n, k = 510, 16
+	g := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		g = g*6364136223846793005 + 1442695040888963407
+		return g >> 33
+	}
+	sigs := make([]perf.IntervalSignature, n)
+	for i := 0; i < n; {
+		shape := int(next() % 8)
+		for run := 5 + int(next()%32); run > 0 && i < n; run-- {
+			for d := 0; d < 6; d++ {
+				sigs[i][(shape*8+d*3)%perf.SigDims] = uint32(200 + 40*d + int(next()%64))
+			}
+			sigs[i][next()%perf.SigDims] += uint32(next() % 32)
+			i++
+		}
+	}
+	cfg := Config{IntervalOps: perf.DefaultSampleInterval, Phases: k}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := BuildPlan(sigs, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		planSink = plan
+	}
+}
